@@ -36,8 +36,7 @@ BenchSettings BenchSettings::parse(int argc, char** argv) {
         flags.get_string("scoring", to_string(s.scoring));
     const auto parsed = core::scoring_engine_from_string(scoring);
     UAVDC_CHECK(parsed.has_value())
-        << "--scoring must be incremental | incremental-fast | reference, "
-           "got \""
+        << "--scoring must be incremental | reference, got \""
         << scoring << "\"";
     s.scoring = *parsed;
     return s;

@@ -37,10 +37,7 @@ struct BenchSettings {
     std::uint64_t seed{1}; ///< base seed; replicate i uses seed + i
     std::string out_dir;   ///< CSV output directory ("" = no CSV)
     /// Scoring engine for the scoring-aware planners (alg2/alg3 and the
-    /// benchmark planner). `--scoring=incremental-fast` runs the figure
-    /// sweep on the epsilon tier (reassociated 8-lane gain sums); its drift
-    /// against the default tier is characterized at full scale by
-    /// `uavdc conformance --fast-scoring`.
+    /// benchmark planner); both engines produce bit-identical plans.
     core::ScoringEngine scoring{core::ScoringEngine::kIncremental};
 
     /// Parse --full / --replicates / --seed / --out / --scoring flags

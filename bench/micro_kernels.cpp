@@ -4,9 +4,10 @@
 // With --baseline_out=<path> the binary instead runs the tracked
 // batched-vs-scalar kernel cases and writes the uavdc-bench-kernels-v1
 // schema (add --quick for the CI smoke variant checked by
-// scripts/check_perf_regression.py). Each case times both forms and — for
-// the elementwise kernels — asserts the outputs are bit-identical, so the
-// perf baseline doubles as an equivalence check.
+// scripts/check_perf_regression.py). Each case times both forms and
+// asserts the outputs are bit-identical (or, for the squared matrix fill,
+// the sqrt-deferral identity), so the perf baseline doubles as an
+// equivalence check.
 
 #include <benchmark/benchmark.h>
 
@@ -29,7 +30,6 @@
 namespace {
 
 using namespace uavdc;
-using core::kernels::GainAccum;
 
 /// Random SoA point cloud (padded, aligned) plus the matching AoS view.
 struct Cloud {
@@ -77,7 +77,7 @@ struct KernelCase {
     bench::TimingStats scalar;   ///< full rep aggregates, scalar loop
 };
 
-KernelCase case_distances(bool quick, bool squared) {
+KernelCase case_squared_distances(bool quick) {
     const std::size_t n = quick ? 1u << 14 : 1u << 17;
     const Cloud c = make_cloud(n, 11);
     const geom::Vec2 q{431.7, 208.3};
@@ -85,25 +85,19 @@ KernelCase case_distances(bool quick, bool squared) {
     const int sweeps = quick ? 40 : 80;
     const int reps = 5;
     KernelCase out;
-    out.name = squared ? "dist2_batch" : "dist_batch";
+    out.name = "dist2_batch";
     out.n = static_cast<int>(n);
     out.batched = timed_reps(reps, [&] {
         for (int s = 0; s < sweeps; ++s) {
-            if (squared) {
-                core::kernels::squared_distances_to_point(
-                    c.xs.data(), c.ys.data(), n, q.x, q.y, batched.data());
-            } else {
-                core::kernels::distances_to_point(
-                    c.xs.data(), c.ys.data(), n, q.x, q.y, batched.data());
-            }
+            core::kernels::squared_distances_to_point(
+                c.xs.data(), c.ys.data(), n, q.x, q.y, batched.data());
             benchmark::DoNotOptimize(batched.data());
         }
     });
     out.scalar = timed_reps(reps, [&] {
         for (int s = 0; s < sweeps; ++s) {
             for (std::size_t i = 0; i < n; ++i) {
-                scalar[i] = squared ? geom::distance2(c.aos[i], q)
-                                    : geom::distance(c.aos[i], q);
+                scalar[i] = geom::distance2(c.aos[i], q);
             }
             benchmark::DoNotOptimize(scalar.data());
         }
@@ -111,83 +105,6 @@ KernelCase case_distances(bool quick, bool squared) {
     for (std::size_t i = 0; i < n; ++i) {
         UAVDC_CHECK(batched[i] == scalar[i])
             << out.name << ": lane " << i << " diverged";
-    }
-    out.batched_s = out.batched.min_s;
-    out.scalar_s = out.scalar.min_s;
-    out.speedup = out.scalar_s / out.batched_s;
-    return out;
-}
-
-KernelCase case_insertion_deltas(bool quick) {
-    const std::size_t n = quick ? 1u << 13 : 1u << 16;
-    const Cloud c = make_cloud(n, 29);
-    const geom::Vec2 a{100.0, 120.0}, p{480.0, 510.0}, b{900.0, 140.0};
-    const double len_ap = geom::distance(a, p);
-    const double len_pb = geom::distance(p, b);
-    std::vector<double> n1(n), n2(n), m1(n), m2(n);
-    const int sweeps = quick ? 30 : 60;
-    KernelCase out;
-    out.name = "insertion_deltas";
-    out.n = static_cast<int>(n);
-    out.batched = timed_reps(5, [&] {
-        for (int s = 0; s < sweeps; ++s) {
-            core::kernels::insertion_edge_deltas(c.xs.data(), c.ys.data(), n,
-                                                 a, p, b, len_ap, len_pb,
-                                                 n1.data(), n2.data());
-            benchmark::DoNotOptimize(n1.data());
-        }
-    });
-    out.scalar = timed_reps(5, [&] {
-        for (int s = 0; s < sweeps; ++s) {
-            for (std::size_t i = 0; i < n; ++i) {
-                const geom::Vec2 x = c.aos[i];
-                const double d_xp = geom::distance(x, p);
-                m1[i] = geom::distance(a, x) + d_xp - len_ap;
-                m2[i] = d_xp + geom::distance(x, b) - len_pb;
-            }
-            benchmark::DoNotOptimize(m1.data());
-        }
-    });
-    for (std::size_t i = 0; i < n; ++i) {
-        UAVDC_CHECK(n1[i] == m1[i] && n2[i] == m2[i])
-            << out.name << ": lane " << i << " diverged";
-    }
-    out.batched_s = out.batched.min_s;
-    out.scalar_s = out.scalar.min_s;
-    out.speedup = out.scalar_s / out.batched_s;
-    return out;
-}
-
-KernelCase case_matrix_fill(bool quick) {
-    const std::size_t n = quick ? 192 : 640;
-    const Cloud c = make_cloud(n, 41);
-    std::vector<double> flat_b(n * n), flat_s(n * n);
-    constexpr std::size_t kColTile = 1024;
-    KernelCase out;
-    out.name = "matrix_fill";
-    out.n = static_cast<int>(n);
-    out.batched = timed_reps(5, [&] {
-        for (std::size_t r = 0; r < n; ++r) {
-            const geom::Vec2 p = c.aos[r];
-            for (std::size_t c0 = 0; c0 < n; c0 += kColTile) {
-                core::kernels::fill_distance_tile(
-                    c.xs.data(), c.ys.data(), c0, std::min(n, c0 + kColTile),
-                    p.x, p.y, flat_b.data() + r * n);
-            }
-        }
-        benchmark::DoNotOptimize(flat_b.data());
-    });
-    out.scalar = timed_reps(5, [&] {
-        for (std::size_t r = 0; r < n; ++r) {
-            for (std::size_t col = 0; col < n; ++col) {
-                flat_s[r * n + col] = geom::distance(c.aos[r], c.aos[col]);
-            }
-        }
-        benchmark::DoNotOptimize(flat_s.data());
-    });
-    for (std::size_t i = 0; i < n * n; ++i) {
-        UAVDC_CHECK(flat_b[i] == flat_s[i])
-            << out.name << ": cell " << i << " diverged";
     }
     out.batched_s = out.batched.min_s;
     out.scalar_s = out.scalar.min_s;
@@ -236,22 +153,29 @@ KernelCase case_squared_insertion_lb(bool quick) {
     return out;
 }
 
-/// Squared distance-matrix tile fill vs the exact (sqrt-taking) fill. The
-/// deferral identity is asserted bitwise before timing: sqrt of every
-/// squared cell must reproduce the exact tile exactly, which is what lets
-/// consumers defer the sqrt to survivors without changing any plan.
+/// Squared distance-matrix tile fill vs the scalar exact (sqrt-taking)
+/// geom::distance fill. The deferral identity is asserted bitwise before
+/// timing: sqrt of every squared cell must reproduce the exact fill
+/// exactly, which is what lets consumers defer the sqrt to survivors
+/// without changing any plan.
 KernelCase case_squared_matrix_fill(bool quick) {
     const std::size_t n = quick ? 192 : 640;
     const Cloud c = make_cloud(n, 41);
     std::vector<double> flat_sq(n * n), flat_exact(n * n);
     constexpr std::size_t kColTile = 1024;
+    const auto exact_fill = [&] {
+        for (std::size_t r = 0; r < n; ++r) {
+            for (std::size_t col = 0; col < n; ++col) {
+                flat_exact[r * n + col] = geom::distance(c.aos[r], c.aos[col]);
+            }
+        }
+    };
+    exact_fill();
     for (std::size_t r = 0; r < n; ++r) {
         const geom::Vec2 p = c.aos[r];
         core::kernels::fill_squared_distance_tile(c.xs.data(), c.ys.data(), 0,
                                                   n, p.x, p.y,
                                                   flat_sq.data() + r * n);
-        core::kernels::fill_distance_tile(c.xs.data(), c.ys.data(), 0, n, p.x,
-                                          p.y, flat_exact.data() + r * n);
     }
     for (std::size_t i = 0; i < n * n; ++i) {
         UAVDC_CHECK(std::sqrt(flat_sq[i]) == flat_exact[i])
@@ -271,17 +195,10 @@ KernelCase case_squared_matrix_fill(bool quick) {
         }
         benchmark::DoNotOptimize(flat_sq.data());
     });
-    // "scalar" column: the exact tile fill — the speedup column is the pure
-    // sqrt-deferral gain, both sides batched.
+    // "scalar" column: the scalar exact fill PlanningContext runs, so the
+    // speedup column is the sqrt-deferral gain of the squared kernel.
     out.scalar = timed_reps(5, [&] {
-        for (std::size_t r = 0; r < n; ++r) {
-            const geom::Vec2 p = c.aos[r];
-            for (std::size_t c0 = 0; c0 < n; c0 += kColTile) {
-                core::kernels::fill_distance_tile(
-                    c.xs.data(), c.ys.data(), c0, std::min(n, c0 + kColTile),
-                    p.x, p.y, flat_exact.data() + r * n);
-            }
-        }
+        exact_fill();
         benchmark::DoNotOptimize(flat_exact.data());
     });
     out.batched_s = out.batched.min_s;
@@ -290,49 +207,9 @@ KernelCase case_squared_matrix_fill(bool quick) {
     return out;
 }
 
-KernelCase case_capped_sum(bool quick) {
-    // fast (8-lane) vs ordered reduction; outputs are epsilon-close by
-    // design, so this case checks timing only.
-    const std::size_t m = quick ? 1u << 14 : 1u << 17;
-    util::Rng rng(53);
-    std::vector<std::int32_t> idx(m);
-    util::AlignedVector<double> residual(core::soa_padded(m), 0.0);
-    for (std::size_t j = 0; j < m; ++j) {
-        idx[j] = static_cast<std::int32_t>(j);
-        residual[j] = rng.uniform(0.0, 600.0);
-    }
-    const double cap = 250.0;
-    const int sweeps = quick ? 40 : 80;
-    KernelCase out;
-    out.name = "capped_sum";
-    out.n = static_cast<int>(m);
-    out.batched = timed_reps(5, [&] {
-        double acc = 0.0;
-        for (int s = 0; s < sweeps; ++s) {
-            acc += core::kernels::capped_sum_fast(idx.data(), m,
-                                                  residual.data(), cap);
-        }
-        benchmark::DoNotOptimize(acc);
-    });
-    out.scalar = timed_reps(5, [&] {
-        double acc = 0.0;
-        for (int s = 0; s < sweeps; ++s) {
-            acc += core::kernels::capped_sum_ordered(idx.data(), m,
-                                                     residual.data(), cap);
-        }
-        benchmark::DoNotOptimize(acc);
-    });
-    out.batched_s = out.batched.min_s;
-    out.scalar_s = out.scalar.min_s;
-    out.speedup = out.scalar_s / out.batched_s;
-    return out;
-}
-
 std::vector<KernelCase> run_kernel_baselines(bool quick) {
-    return {case_distances(quick, true),     case_distances(quick, false),
-            case_insertion_deltas(quick),    case_squared_insertion_lb(quick),
-            case_matrix_fill(quick),         case_squared_matrix_fill(quick),
-            case_capped_sum(quick)};
+    return {case_squared_distances(quick), case_squared_insertion_lb(quick),
+            case_squared_matrix_fill(quick)};
 }
 
 void write_kernel_baselines(const std::string& path, bool quick,
@@ -378,33 +255,6 @@ void BM_SquaredDistances(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_SquaredDistances)->Arg(1 << 10)->Arg(1 << 16);
-
-void BM_Distances(benchmark::State& state) {
-    const auto n = static_cast<std::size_t>(state.range(0));
-    const Cloud c = make_cloud(n, 7);
-    std::vector<double> out(n);
-    for (auto _ : state) {
-        core::kernels::distances_to_point(c.xs.data(), c.ys.data(), n, 317.0,
-                                          209.0, out.data());
-        benchmark::DoNotOptimize(out.data());
-    }
-}
-BENCHMARK(BM_Distances)->Arg(1 << 10)->Arg(1 << 16);
-
-void BM_InsertionDeltas(benchmark::State& state) {
-    const auto n = static_cast<std::size_t>(state.range(0));
-    const Cloud c = make_cloud(n, 7);
-    std::vector<double> n1(n), n2(n);
-    const geom::Vec2 a{10.0, 20.0}, p{500.0, 500.0}, b{900.0, 100.0};
-    const double lap = geom::distance(a, p), lpb = geom::distance(p, b);
-    for (auto _ : state) {
-        core::kernels::insertion_edge_deltas(c.xs.data(), c.ys.data(), n, a,
-                                             p, b, lap, lpb, n1.data(),
-                                             n2.data());
-        benchmark::DoNotOptimize(n1.data());
-    }
-}
-BENCHMARK(BM_InsertionDeltas)->Arg(1 << 10)->Arg(1 << 16);
 
 }  // namespace
 

@@ -4,7 +4,7 @@
 #   scripts/check_vectorization.sh [clang++]
 #
 # Compiles src/uavdc/core/batch_kernels.cpp with clang's optimization-record
-# output and asserts that the loop-vectorizer reports success for each hot
+# output and asserts that the loop-vectorizer reports success for each
 # kernel. The kernels are written as portable 8-wide-friendly loops (no
 # intrinsics, no pragmas); this gate is what keeps a future refactor from
 # silently de-vectorizing them — gcc offers no equivalent per-function
@@ -12,7 +12,7 @@
 #
 # The flags mirror the Release build contract: -O3 plus -ffp-contract=off,
 # the same contraction setting src/CMakeLists.txt pins for this TU so that
-# the vectorized lanes stay bit-identical to geom::distance.
+# the vectorized lanes stay bit-identical to geom::distance2.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -41,16 +41,13 @@ fi
 # Each required kernel must have at least one !Passed loop-vectorize record
 # attached to a function whose mangled name contains the kernel name. The
 # name must sit right after its Itanium length prefix ("[0-9]<name>") so
-# that distances_to_point cannot be satisfied by the longer
-# squared_distances_to_point symbol. The portable bodies are always_inline,
+# that a kernel cannot be satisfied by a longer symbol that merely ends in
+# its name. The portable bodies are always_inline,
 # so remarks land on the exported baseline symbols and/or the
 # target("avx2") clones — either counts.
 kernels=(
     squared_distances_to_point
-    distances_to_point
-    insertion_edge_deltas
     squared_insertion_lower_bounds
-    fill_distance_tile
     fill_squared_distance_tile
 )
 

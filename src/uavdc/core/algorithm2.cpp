@@ -317,22 +317,14 @@ PlanResult GreedyCoveragePlanner::plan_incremental(
     // Residual gains, refreshed only for candidates whose coverage
     // intersects newly covered devices. The ordered kernel walks the
     // forward CSR coverage list with the exact accumulation order of the
-    // reference residual_gain (bit-identical); the opt-in fast kernel
-    // reassociates the sum into 8 fixed lanes (epsilon tier).
-    const bool fast = cfg_.scoring == ScoringEngine::kIncrementalFast;
+    // reference residual_gain (bit-identical).
     std::pmr::vector<double> gain_mb(n, 0.0, mr);
     std::pmr::vector<double> gain_dwell(n, 0.0, mr);
     auto refresh_gain = [&](std::size_t i) {
         const auto cov = csoa.covered(i);
-        const kernels::GainAccum g =
-            fast ? kernels::residual_gain_fast(cov.data(), cov.size(),
-                                               dsoa.data_mb.data(),
-                                               dsoa.upload_s.data(),
-                                               covered.data())
-                 : kernels::residual_gain_ordered(cov.data(), cov.size(),
-                                                  dsoa.data_mb.data(),
-                                                  dsoa.upload_s.data(),
-                                                  covered.data());
+        const kernels::GainAccum g = kernels::residual_gain_ordered(
+            cov.data(), cov.size(), dsoa.data_mb.data(), dsoa.upload_s.data(),
+            covered.data());
         gain_mb[i] = g.sum_mb;
         gain_dwell[i] = g.max_s;
     };

@@ -266,10 +266,8 @@ PlanResult PartialCollectionPlanner::plan_incremental(
     // SoA candidate plane (coords + forward CSR coverage) shared across
     // plans through the context. The gain loops below walk the CSR lists
     // with kernels whose accumulation order matches the reference engine
-    // exactly (ordered) or reassociates into 8 fixed lanes (fast, opt-in
-    // epsilon tier).
+    // exactly.
     const CandidateSoa& csoa = *view.soa;
-    const bool fast = cfg_.scoring == ScoringEngine::kIncrementalFast;
     InsertionCache cache(tour, std::span(csoa.pos.xs.data(), n),
                          std::span(csoa.pos.ys.data(), n), mr);
     // Device -> covering-candidates inversion: reuse the view's prebuilt
@@ -285,10 +283,8 @@ PlanResult PartialCollectionPlanner::plan_incremental(
     std::pmr::vector<Score> scores(n, Score{}, mr);  // read back on selection
 
     auto capped_sum = [&](std::span<const std::int32_t> cov, double cap) {
-        return fast ? kernels::capped_sum_fast(cov.data(), cov.size(),
-                                               residual.data(), cap)
-                    : kernels::capped_sum_ordered(cov.data(), cov.size(),
-                                                  residual.data(), cap);
+        return kernels::capped_sum_ordered(cov.data(), cov.size(),
+                                           residual.data(), cap);
     };
 
     // Upper-bound key: the best per-k ratio *ignoring feasibility*. Each

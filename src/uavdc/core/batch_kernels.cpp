@@ -1,21 +1,16 @@
 #include "uavdc/core/batch_kernels.hpp"
 
-#include <cmath>
-#include <cstdint>
-
-#include "uavdc/core/soa_layout.hpp"
-
 // This TU is compiled with -ffp-contract=off (see src/CMakeLists.txt): gcc
 // defaults to -ffp-contract=fast, and letting an AVX2-targeted clone fuse
 // dx*dx + dy*dy into an FMA would change the result bits relative to the
-// scalar reference expression. With contraction off, sqrt/add/mul are all
-// IEEE correctly-rounded per lane, so the vectorized loops below are
-// bit-identical to geom::distance / geom::distance2 at every width.
+// scalar reference expression. With contraction off, add/mul are IEEE
+// correctly-rounded per lane, so the vectorized loops below are
+// bit-identical to geom::distance2 at every width.
 //
 // Dispatch: each kernel has a portable body (inlined into a baseline and,
 // on x86-64, an __attribute__((target("avx2"))) clone) selected once via
 // __builtin_cpu_supports. We deliberately avoid target_clones/ifunc (fragile
-// under sanitizers) and intrinsics (ISSUE: "no intrinsics required").
+// under sanitizers) and intrinsics (plain loops vectorize as they are).
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define UAVDC_HAVE_AVX2_DISPATCH 1
@@ -41,49 +36,6 @@ UAVDC_KERNEL_BODY void squared_distances_body(const double* xs,
         const double dx = xs[i] - px;
         const double dy = ys[i] - py;
         out[i] = dx * dx + dy * dy;
-    }
-}
-
-UAVDC_KERNEL_BODY void distances_body(const double* xs, const double* ys,
-                                      std::size_t n, double px, double py,
-                                      double* out) {
-    for (std::size_t i = 0; i < n; ++i) {
-        const double dx = xs[i] - px;
-        const double dy = ys[i] - py;
-        out[i] = std::sqrt(dx * dx + dy * dy);
-    }
-}
-
-UAVDC_KERNEL_BODY void insertion_edge_deltas_body(
-    const double* xs, const double* ys, std::size_t n, geom::Vec2 a,
-    geom::Vec2 p, geom::Vec2 b, double len_ap, double len_pb, double* n1,
-    double* n2) {
-    for (std::size_t i = 0; i < n; ++i) {
-        const double x = xs[i];
-        const double y = ys[i];
-        const double dxp_x = x - p.x;
-        const double dxp_y = y - p.y;
-        const double d_xp = std::sqrt(dxp_x * dxp_x + dxp_y * dxp_y);
-        const double dax_x = a.x - x;
-        const double dax_y = a.y - y;
-        const double d_ax = std::sqrt(dax_x * dax_x + dax_y * dax_y);
-        const double dxb_x = x - b.x;
-        const double dxb_y = y - b.y;
-        const double d_xb = std::sqrt(dxb_x * dxb_x + dxb_y * dxb_y);
-        n1[i] = (d_ax + d_xp) - len_ap;
-        n2[i] = (d_xp + d_xb) - len_pb;
-    }
-}
-
-UAVDC_KERNEL_BODY void fill_distance_tile_body(const double* xs,
-                                               const double* ys,
-                                               std::size_t c0, std::size_t c1,
-                                               double px, double py,
-                                               double* row) {
-    for (std::size_t c = c0; c < c1; ++c) {
-        const double dx = px - xs[c];
-        const double dy = py - ys[c];
-        row[c] = std::sqrt(dx * dx + dy * dy);
     }
 }
 
@@ -130,26 +82,6 @@ __attribute__((target("avx2"))) void squared_distances_avx2(
     squared_distances_body(xs, ys, n, px, py, out);
 }
 
-__attribute__((target("avx2"))) void distances_avx2(const double* xs,
-                                                    const double* ys,
-                                                    std::size_t n, double px,
-                                                    double py, double* out) {
-    distances_body(xs, ys, n, px, py, out);
-}
-
-__attribute__((target("avx2"))) void insertion_edge_deltas_avx2(
-    const double* xs, const double* ys, std::size_t n, geom::Vec2 a,
-    geom::Vec2 p, geom::Vec2 b, double len_ap, double len_pb, double* n1,
-    double* n2) {
-    insertion_edge_deltas_body(xs, ys, n, a, p, b, len_ap, len_pb, n1, n2);
-}
-
-__attribute__((target("avx2"))) void fill_distance_tile_avx2(
-    const double* xs, const double* ys, std::size_t c0, std::size_t c1,
-    double px, double py, double* row) {
-    fill_distance_tile_body(xs, ys, c0, c1, px, py, row);
-}
-
 __attribute__((target("avx2"))) void fill_squared_distance_tile_avx2(
     const double* xs, const double* ys, std::size_t c0, std::size_t c1,
     double px, double py, double* row) {
@@ -178,42 +110,6 @@ void squared_distances_to_point(const double* xs, const double* ys,
     squared_distances_body(xs, ys, n, px, py, out);
 }
 
-void distances_to_point(const double* xs, const double* ys, std::size_t n,
-                        double px, double py, double* out) {
-#if UAVDC_HAVE_AVX2_DISPATCH
-    if (cpu_has_avx2()) {
-        distances_avx2(xs, ys, n, px, py, out);
-        return;
-    }
-#endif
-    distances_body(xs, ys, n, px, py, out);
-}
-
-void insertion_edge_deltas(const double* xs, const double* ys, std::size_t n,
-                           geom::Vec2 a, geom::Vec2 p, geom::Vec2 b,
-                           double len_ap, double len_pb, double* n1,
-                           double* n2) {
-#if UAVDC_HAVE_AVX2_DISPATCH
-    if (cpu_has_avx2()) {
-        insertion_edge_deltas_avx2(xs, ys, n, a, p, b, len_ap, len_pb, n1,
-                                   n2);
-        return;
-    }
-#endif
-    insertion_edge_deltas_body(xs, ys, n, a, p, b, len_ap, len_pb, n1, n2);
-}
-
-void fill_distance_tile(const double* xs, const double* ys, std::size_t c0,
-                        std::size_t c1, double px, double py, double* row) {
-#if UAVDC_HAVE_AVX2_DISPATCH
-    if (cpu_has_avx2()) {
-        fill_distance_tile_avx2(xs, ys, c0, c1, px, py, row);
-        return;
-    }
-#endif
-    fill_distance_tile_body(xs, ys, c0, c1, px, py, row);
-}
-
 void fill_squared_distance_tile(const double* xs, const double* ys,
                                 std::size_t c0, std::size_t c1, double px,
                                 double py, double* row) {
@@ -236,64 +132,6 @@ void squared_insertion_lower_bounds(const double* xs, const double* ys,
     }
 #endif
     squared_insertion_lower_bounds_body(xs, ys, n, a, p, b, s1, s2);
-}
-
-// ---------------------------------------------------------------------------
-// Fast reductions (epsilon tier). The accumulation scheme is written out
-// explicitly — kSoaLanes partial sums filled round-robin, combined in a
-// fixed pairwise tree — so the result is a deterministic function of the
-// input order on every compiler/ISA, independent of auto-vectorization.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-[[nodiscard]] UAVDC_KERNEL_BODY double combine8(const double (&acc)[8]) {
-    return ((acc[0] + acc[1]) + (acc[2] + acc[3])) +
-           ((acc[4] + acc[5]) + (acc[6] + acc[7]));
-}
-
-}  // namespace
-
-GainAccum residual_gain_fast(const std::int32_t* idx, std::size_t m,
-                             const double* data_mb, const double* upload_s,
-                             const char* covered_mask) {
-    static_assert(kSoaLanes == 8);
-    double acc[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-    GainAccum g;
-    std::size_t j = 0;
-    for (; j + 8 <= m; j += 8) {
-        for (std::size_t l = 0; l < 8; ++l) {
-            const auto v = static_cast<std::size_t>(idx[j + l]);
-            if (covered_mask[v] != 0 || data_mb[v] <= 0.0) continue;
-            acc[l] += data_mb[v];
-            g.max_s = std::max(g.max_s, upload_s[v]);
-        }
-    }
-    for (std::size_t l = 0; j < m; ++j, ++l) {
-        const auto v = static_cast<std::size_t>(idx[j]);
-        if (covered_mask[v] != 0 || data_mb[v] <= 0.0) continue;
-        acc[l] += data_mb[v];
-        g.max_s = std::max(g.max_s, upload_s[v]);
-    }
-    g.sum_mb = combine8(acc);
-    return g;
-}
-
-double capped_sum_fast(const std::int32_t* idx, std::size_t m,
-                       const double* residual, double cap) {
-    static_assert(kSoaLanes == 8);
-    double acc[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-    std::size_t j = 0;
-    for (; j + 8 <= m; j += 8) {
-        for (std::size_t l = 0; l < 8; ++l) {
-            acc[l] +=
-                std::min(residual[static_cast<std::size_t>(idx[j + l])], cap);
-        }
-    }
-    for (std::size_t l = 0; j < m; ++j, ++l) {
-        acc[l] += std::min(residual[static_cast<std::size_t>(idx[j])], cap);
-    }
-    return combine8(acc);
 }
 
 }  // namespace uavdc::core::kernels

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdint>
 
 #include "uavdc/geom/vec2.hpp"
 
@@ -10,24 +9,20 @@
 /// (core/soa_layout). Two tiers:
 ///
 ///  * Elementwise kernels (this header's declarations, bodies in
-///    batch_kernels.cpp): N-at-a-time distance, insertion-edge deltas, and
-///    the cache-blocked distance-matrix tile fill. Written as plain loops
-///    the compiler auto-vectorizes (CI greps `-Rpass=loop-vectorize` /
-///    optimization records for them — scripts/check_vectorization.sh); the
-///    TU is built with -ffp-contract=off and per-lane IEEE ops only, so
-///    every lane is bit-identical to the scalar geom::distance expression
-///    regardless of vector width or ISA.
+///    batch_kernels.cpp): N-at-a-time squared distances, squared
+///    insertion-edge lower bounds, and the cache-blocked squared
+///    distance-matrix tile fill. Written as plain loops the compiler
+///    auto-vectorizes (CI greps `-Rpass=loop-vectorize` / optimization
+///    records for them — scripts/check_vectorization.sh); the TU is built
+///    with -ffp-contract=off and per-lane IEEE ops only, so every lane is
+///    bit-identical to the scalar geom::distance2 expression regardless of
+///    vector width or ISA.
 ///
-///  * Reduction kernels. The *ordered* forms below are inline templates
-///    that keep the exact accumulation order of the reference engines —
-///    they exist so the hot loops read the SoA arrays (locality) without
-///    perturbing a single bit; `ScoringEngine::kIncremental` stays
-///    EXPECT_EQ-identical to the reference oracle through them. The *fast*
-///    forms (batch_kernels.cpp) accumulate into kSoaLanes fixed partial
-///    sums combined in a fixed pairwise order — deterministic on every
-///    compiler and ISA, but NOT bit-identical to the ordered sum; they back
-///    the opt-in `ScoringEngine::kIncrementalFast` epsilon-conformance tier
-///    (tolerances documented in DESIGN.md "Memory layout & vectorization").
+///  * Ordered reductions: inline templates that keep the exact
+///    accumulation order of the reference engines — they exist so the hot
+///    loops read the SoA arrays (locality) without perturbing a single bit;
+///    `ScoringEngine::kIncremental` stays EXPECT_EQ-identical to the
+///    reference oracle through them.
 namespace uavdc::core::kernels {
 
 // ---------------------------------------------------------------------------
@@ -40,35 +35,14 @@ void squared_distances_to_point(const double* xs, const double* ys,
                                 std::size_t n, double px, double py,
                                 double* out);
 
-/// out[i] = sqrt((xs[i] - p.x)^2 + (ys[i] - p.y)^2) — geom::distance(q_i, p)
-/// (and, since squares kill the sign, geom::distance(p, q_i)) N at a time.
-void distances_to_point(const double* xs, const double* ys, std::size_t n,
-                        double px, double py, double* out);
-
-/// The InsertionCache::on_insert edge scan, batched over candidates: for
-/// each candidate x_i = (xs[i], ys[i]) compute the insertion deltas of the
-/// two tour edges created by inserting p between a and b,
-///   n1[i] = d(a, x_i) + d(x_i, p) - len_ap   (edge a -> p)
-///   n2[i] = d(x_i, p) + d(x_i, b) - len_pb   (edge p -> b)
-/// with the exact operand order of the scalar code it replaces.
-void insertion_edge_deltas(const double* xs, const double* ys, std::size_t n,
-                           geom::Vec2 a, geom::Vec2 p, geom::Vec2 b,
-                           double len_ap, double len_pb, double* n1,
-                           double* n2);
-
-/// One tile of the flat distance-matrix fill: row[c] = d(p, node_c) for
-/// c in [c0, c1), where node coordinates live in xs/ys. `row` points at the
-/// row's column 0, i.e. the tile writes row[c0..c1). Expression order
-/// matches geom::distance(p, node) — (p - node), squared, summed, sqrt.
-void fill_distance_tile(const double* xs, const double* ys, std::size_t c0,
-                        std::size_t c1, double px, double py, double* row);
-
-/// Squared-form companion of fill_distance_tile: row[c] = d2(p, node_c) for
-/// c in [c0, c1) — the same (p - node) difference expressions with the sqrt
-/// deferred. Each lane satisfies fill_distance_tile's output ==
-/// std::sqrt(this output) bit-for-bit (the deferral identity the
-/// micro_kernels cross-check asserts), so squared-space prefilters can
-/// resolve survivors by sqrt-ing exactly the values this kernel produced.
+/// One tile of the flat squared distance-matrix fill: row[c] = d2(p, node_c)
+/// for c in [c0, c1), where node coordinates live in xs/ys. `row` points at
+/// the row's column 0, i.e. the tile writes row[c0..c1). Expression order
+/// matches geom::distance(p, node) with the sqrt deferred — (p - node),
+/// squared, summed — so geom::distance(p, node_c) == std::sqrt(row[c])
+/// bit-for-bit (the deferral identity the micro_kernels cross-check
+/// asserts), and squared-space prefilters can resolve survivors by sqrt-ing
+/// exactly the values this kernel produced.
 void fill_squared_distance_tile(const double* xs, const double* ys,
                                 std::size_t c0, std::size_t c1, double px,
                                 double py, double* row);
@@ -77,13 +51,14 @@ void fill_squared_distance_tile(const double* xs, const double* ys,
 /// for each candidate x_i = (xs[i], ys[i]),
 ///   s1[i] = d2(a, x_i) + d2(x_i, p)   (edge a -> p)
 ///   s2[i] = d2(x_i, p) + d2(x_i, b)   (edge p -> b)
-/// using the same difference expressions as insertion_edge_deltas but with
-/// every sqrt deferred. With |d(a,x) - d(x,p)| <= d(a,p) = len_ap (reverse
-/// triangle inequality over the edge), the exact delta obeys
+/// using the difference expressions of the exact deltas
+///   d(a, x_i) + d(x_i, p) - len_ap  and  d(x_i, p) + d(x_i, b) - len_pb
+/// but with every sqrt deferred. With |d(a,x) - d(x,p)| <= d(a,p) = len_ap
+/// (reverse triangle inequality over the edge), the exact delta obeys
 ///   (d(a,x) + d(x,p))^2 = 2 * s1[i] - (d(a,x) - d(x,p))^2
 ///                       >= 2 * s1[i] - len_ap^2,
 /// so a candidate whose squared sum fails the bound test cannot beat the
-/// caller's threshold; only survivors pay insertion_edge_deltas' 3 sqrts.
+/// caller's threshold; only survivors pay the exact deltas' 3 sqrts.
 void squared_insertion_lower_bounds(const double* xs, const double* ys,
                                     std::size_t n, geom::Vec2 a, geom::Vec2 p,
                                     geom::Vec2 b, double* s1, double* s2);
@@ -179,23 +154,5 @@ template <typename Index>
     }
     return s;
 }
-
-// ---------------------------------------------------------------------------
-// Fast reductions (epsilon tier): kSoaLanes fixed partial accumulators,
-// combined pairwise in a fixed order — deterministic everywhere, within
-// O(m * ulp) of the ordered sum, never bit-guaranteed against it.
-// ---------------------------------------------------------------------------
-
-/// residual_gain_ordered with 8-lane partial sums for sum_mb (max_s is an
-/// exact reduction under any association for non-negative inputs).
-[[nodiscard]] GainAccum residual_gain_fast(const std::int32_t* idx,
-                                           std::size_t m,
-                                           const double* data_mb,
-                                           const double* upload_s,
-                                           const char* covered_mask);
-
-/// capped_sum_ordered with 8-lane partial sums.
-[[nodiscard]] double capped_sum_fast(const std::int32_t* idx, std::size_t m,
-                                     const double* residual, double cap);
 
 }  // namespace uavdc::core::kernels

@@ -16,22 +16,16 @@ namespace uavdc::core {
 /// Which scoring engine a greedy planner runs. kIncremental and kReference
 /// must produce bit-identical plans; the reference engine is retained as the
 /// equivalence oracle (tests/test_incremental_scorer.cpp) and as a fallback.
-/// kIncrementalFast additionally reassociates the coverage-gain sums into
-/// fixed 8-lane partials (kernels::*_fast) — deterministic on every
-/// compiler/ISA but only epsilon-equal to the oracle; it is opt-in and
-/// validated by the epsilon tier of `uavdc conformance` (tolerances in
-/// DESIGN.md "Memory layout & vectorization").
 enum class ScoringEngine {
-    kIncremental,      ///< lazy-greedy heap + inverted index + insertion cache
-    kReference,        ///< from-scratch rescan of every candidate per iteration
-    kIncrementalFast,  ///< kIncremental with reassociated (8-lane) gain sums
+    kIncremental,  ///< lazy-greedy heap + inverted index + insertion cache
+    kReference,    ///< from-scratch rescan of every candidate per iteration
 };
 
 [[nodiscard]] std::string to_string(ScoringEngine engine);
 
-/// Parses the `to_string` names ("incremental" | "incremental-fast" |
-/// "reference"); nullopt on anything else. Shared by the CLI `--scoring`
-/// flag and the service request schema so the spellings cannot drift.
+/// Parses the `to_string` names ("incremental" | "reference"); nullopt on
+/// anything else. Shared by the CLI `--scoring` flag and the service
+/// request schema so the spellings cannot drift.
 [[nodiscard]] std::optional<ScoringEngine> scoring_engine_from_string(
     const std::string& name);
 

@@ -41,10 +41,9 @@ void TourBuilder::scan_edges(const geom::Vec2& p, Threshold&& bound,
                  edge_len2_.size() == n + 1);
     std::vector<double>& d2 = t_scan_dist2;
     if (d2.size() < n) d2.resize(n);
-    // d2[i] = d2(stops[i], p), batched. sqrt(d2[i]) is bit-identical to the
-    // distances_to_point lane the pre-deferral scan used: same difference
-    // expression in the same contraction-off kernel TU, and sqrt of the
-    // identical squared value is correctly rounded wherever it runs.
+    // d2[i] = d2(stops[i], p), batched. sqrt(d2[i]) is bit-identical to
+    // geom::distance(stops[i], p): same difference expression, and sqrt of
+    // the identical squared value is correctly rounded wherever it runs.
     kernels::squared_distances_to_point(sx_.data(), sy_.data(), n, p.x, p.y,
                                         d2.data());
     // The depot distance keeps the exact pre-deferral expression (survivor
@@ -413,16 +412,18 @@ void InsertionCache::on_insert(const TourBuilder::Insertion& ins,
     // the squared-distance sums of candidate ids_[k] against the two new
     // edges (a -> p at position q, p -> b at position q+1), feeding the
     // same reverse-triangle lower bound as TourBuilder::scan_edges. Only
-    // candidates a new edge might actually affect resolve exact deltas via
-    // insertion_edge_deltas (n = 1), whose lanes keep the operand order of
-    // the scalar expressions they replace (geom::distance is FP-symmetric,
-    // so d(x, p) substitutes d(p, x) bit-for-bit).
+    // candidates a new edge might actually affect resolve exact deltas, in
+    // the operand order of the scalar cheapest_insertion expressions
+    // (geom::distance is FP-symmetric, so d(x, p) substitutes d(p, x)
+    // bit-for-bit).
     const std::size_t m = ids_.size();
     kernels::squared_insertion_lower_bounds(xs_.data(), ys_.data(), m, a, p, b,
                                             n1_.data(), n2_.data());
     const auto exact_deltas = [&](std::size_t k, double& e1d, double& e2d) {
-        kernels::insertion_edge_deltas(&xs_[k], &ys_[k], 1, a, p, b, len_ap,
-                                       len_pb, &e1d, &e2d);
+        const geom::Vec2 x = point(k);
+        const double d_xp = geom::distance(x, p);
+        e1d = (geom::distance(a, x) + d_xp) - len_ap;
+        e2d = (d_xp + geom::distance(x, b)) - len_pb;
     };
     for (std::size_t k = 0; k < m; ++k) {
         const std::size_t i = ids_[k];

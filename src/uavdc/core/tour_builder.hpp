@@ -161,8 +161,9 @@ class TourBuilder {
 /// on_insert pass is one call to kernels::squared_insertion_lower_bounds
 /// over a contiguous array; only candidates whose squared bound fails to
 /// prove the new edges strictly worse than their tracked entries resolve
-/// exact deltas (kernels::insertion_edge_deltas, n = 1 per survivor). Per-candidate state (cached best, runner-up) stays
-/// indexed by the ORIGINAL candidate id. All per-plan buffers draw from the
+/// exact deltas (3 scalar geom::distance calls per survivor). Per-candidate
+/// state (cached best, runner-up) stays indexed by the ORIGINAL candidate
+/// id. All per-plan buffers draw from the
 /// std::pmr resource passed at construction (PlanningContext's ScratchArena
 /// on the planner hot path), so repeated plans on a warm arena allocate
 /// nothing.

@@ -431,8 +431,9 @@ void rule_no_dense_rebuild_in_loop(RuleContext& ctx) {
 /// one element at a time runs scalar — the call boundary stops the
 /// compiler from vectorizing the scan. Hot paths stream the
 /// PlanningContext SoA mirrors through the batch kernels
-/// (core/batch_kernels.hpp) instead; reference oracles that deliberately
-/// stay scalar carry a NOLINT(uavdc-batched-distance): <reason>.
+/// (core/batch_kernels.hpp) instead; reference oracles and loops where a
+/// batched form measured no faster stay scalar and carry a
+/// NOLINT(uavdc-batched-distance): <reason>.
 /// batch_kernels.* is exempt — it IS the blessed implementation.
 void rule_batched_distance(RuleContext& ctx) {
     if (!in_library(ctx.path) || !has_component(ctx.path, "core")) return;
@@ -454,8 +455,9 @@ void rule_batched_distance(RuleContext& ctx) {
                    "per-element " + hit +
                        "() inside a candidate-scoring loop runs scalar; "
                        "stream the SoA arrays through the batch kernels "
-                       "(kernels::distances_to_point / "
-                       "squared_distances_to_point / fill_distance_tile) or "
+                       "(kernels::squared_distances_to_point / "
+                       "fill_squared_distance_tile / "
+                       "squared_insertion_lower_bounds) or "
                        "annotate NOLINT(uavdc-batched-distance): <why this "
                        "loop must stay scalar>");
     }
@@ -553,10 +555,10 @@ void rule_fp_determinism(RuleContext& ctx) {
             code.find("reduction") != std::string::npos) {
             ctx.report(i, "UL012", "nondeterministic-fp-reduction",
                        "OpenMP reduction clauses combine partial sums in "
-                       "thread-completion order; use the fixed-lane "
-                       "reductions in core/batch_kernels (kSoaLanes partial "
-                       "sums, deterministic pairwise combine) so results are "
-                       "bit-stable across runs");
+                       "thread-completion order; use the ordered "
+                       "reductions in core/batch_kernels (fixed indexed "
+                       "accumulation order) so results are bit-stable "
+                       "across runs");
             continue;
         }
         std::string hit;
@@ -577,7 +579,7 @@ void rule_fp_determinism(RuleContext& ctx) {
                    hit +
                        "() over floating-point values pairs terms in an "
                        "order the standard does not fix; write an explicit "
-                       "indexed loop or use the fixed-lane reductions in "
+                       "indexed loop or use the ordered reductions in "
                        "core/batch_kernels, or annotate "
                        "NOLINT(uavdc-nondeterministic-fp-reduction): <why "
                        "pairing order cannot affect results>");
@@ -917,7 +919,8 @@ const std::vector<RuleInfo>& rules() {
         {"UL009", "batched-distance",
          "no per-element distance/sqrt/hypot calls inside candidate-scoring "
          "loops in core/; hot scans stream the PlanningContext SoA mirrors "
-         "through core/batch_kernels — scalar oracle loops carry a "
+         "through core/batch_kernels — scalar loops (oracles, or sites "
+         "where a batched form measured no faster) carry a "
          "NOLINT(uavdc-batched-distance) with a reason"},
         {"UL010", "layering-violation",
          "every include of uavdc/<module>/ must respect the declared "
@@ -931,8 +934,8 @@ const std::vector<RuleInfo>& rules() {
         {"UL012", "nondeterministic-fp-reduction",
          "no std::accumulate/reduce/transform_reduce over floating-point "
          "values and no OpenMP reduction pragmas in core/; floating "
-         "reductions use the fixed-lane batch kernels or explicit indexed "
-         "loops so planner scores are bit-stable"},
+         "reductions use the ordered batch-kernel reductions or explicit "
+         "indexed loops so planner scores are bit-stable"},
         {"UL013", "unchecked-narrowing",
          "no static_cast to a narrower integer type in core/ or service/ "
          "without util::checked_cast, a UAVDC_CHECK guard in the "

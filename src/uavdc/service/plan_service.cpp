@@ -199,11 +199,22 @@ ResponseCache::Hit ResponseCache::get(std::uint64_t key_hi,
 
 std::shared_ptr<const std::string> ResponseCache::put(
     std::uint64_t key_hi, std::uint64_t key_lo, std::string options_canon,
-    std::uint64_t instance_check, io::Json result) {
+    std::uint64_t instance_check, io::Json result, Hit* existing) {
     // Serialize outside the lock: the dump of a large plan is the expensive
     // part, and every future hit reuses this one string.
     auto wire = std::make_shared<const std::string>(result.dump());
     std::lock_guard lock(mu_);
+    // The first key match decides, as in get(): an equal entry is returned
+    // as is, a colliding one is shadowed by the new entry below.
+    for (const Entry& e : entries_) {
+        if (e.key_hi != key_hi || e.key_lo != key_lo) continue;
+        if (e.options_canon == options_canon &&
+            e.instance_check == instance_check) {
+            if (existing != nullptr) *existing = {true, e.result, e.wire};
+            return e.wire;
+        }
+        break;
+    }
     entries_.insert(entries_.begin(),
                     Entry{key_hi, key_lo, std::move(options_canon),
                           instance_check, std::move(result), wire});
@@ -243,6 +254,7 @@ io::Json to_json(const ServiceStats& stats) {
     io::Json cache;
     cache["hits"] = stats.cache_hits;
     cache["misses"] = stats.cache_misses;
+    cache["entries"] = stats.cache_entries;
     cache["hit_rate"] = stats.cache_hit_rate();
     doc["cache"] = std::move(cache);
     io::Json latency{io::Json::Object{}};
@@ -580,11 +592,17 @@ PlanResponse PlanService::execute(const PlanRequest& req) {
         result["plan"] = io::to_json(res.plan);
         result["stats"] = stats_to_json(res.stats);
         resp.result = result;
-        if (cfg_.store.on_response) {
-            cfg_.store.on_response(inst_fp, opts_fp, canon, check, result);
+        // A concurrent miss on the same key may have stored its result
+        // first; answer with that one so every reply carries the same bytes.
+        ResponseCache::Hit existing;
+        resp.result_wire = cache_.put(inst_fp, opts_fp, canon, check,
+                                      std::move(result), &existing);
+        if (existing.found) {
+            resp.result = std::move(existing.result);
+        } else if (cfg_.store.on_response) {
+            cfg_.store.on_response(inst_fp, opts_fp, canon, check,
+                                   resp.result);
         }
-        resp.result_wire =
-            cache_.put(inst_fp, opts_fp, canon, check, std::move(result));
     } catch (const std::exception& ex) {
         resp.status = ResponseStatus::kInternalError;
         resp.error = std::string("planner '") + req.planner +
@@ -652,6 +670,7 @@ ServiceStats PlanService::stats() const {
     }
     out.cache_hits = cache_.hits();
     out.cache_misses = cache_.misses();
+    out.cache_entries = cache_.size();
     {
         std::lock_guard lock(mu_);
         out.queue_depth = queue_.size();

@@ -44,6 +44,7 @@ struct ServiceStats {
     std::uint64_t internal_errors{0};
     std::uint64_t cache_hits{0};
     std::uint64_t cache_misses{0};
+    std::size_t cache_entries{0};       ///< responses cached right now
     std::size_t queue_depth{0};         ///< requests waiting right now
     std::size_t in_flight{0};           ///< requests executing right now
     std::size_t workers{0};
@@ -82,7 +83,9 @@ struct ServiceStats {
 /// canonical options encoding and the independent instance check hash;
 /// `get` answers a hit only when all four match, and counts anything less
 /// as a miss (the subsequent `put` then stores the new payload under the
-/// same key, ahead of the colliding entry in MRU order).
+/// same key, ahead of the colliding entry in MRU order). `put` is
+/// put-if-absent, so workers that miss the same key at once all answer
+/// with the first stored result.
 class ResponseCache {
   public:
     explicit ResponseCache(std::size_t capacity) : capacity_(capacity) {}
@@ -105,14 +108,18 @@ class ResponseCache {
                           std::uint64_t instance_check,
                           bool copy_tree = true);
 
-    /// Insert at the MRU front, evicting from the back past capacity.
-    /// Serializes `result` once and returns the shared wire form (the same
-    /// string subsequent hits carry).
+    /// Put-if-absent. Inserts at the MRU front, evicting from the back past
+    /// capacity; serializes `result` once and returns the shared wire form
+    /// (the same string subsequent hits carry). When the entry `get` would
+    /// verify for this key already matches canon and check, nothing is
+    /// inserted: the return value is that entry's wire, and `existing` (if
+    /// given) receives found = true plus a copy of its result tree.
     std::shared_ptr<const std::string> put(std::uint64_t key_hi,
                                            std::uint64_t key_lo,
                                            std::string options_canon,
                                            std::uint64_t instance_check,
-                                           io::Json result);
+                                           io::Json result,
+                                           Hit* existing = nullptr);
 
     [[nodiscard]] std::uint64_t hits() const;
     [[nodiscard]] std::uint64_t misses() const;

@@ -89,7 +89,7 @@ struct PlanResponse {
 ///   {"id": str, "planner": str,
 ///    "instance": {...} | "instance_ref": "16-hex",
 ///    "options": {"delta_m","max_candidates","k","grasp_iterations",
-///                "scoring": "incremental"|"incremental-fast"|"reference",
+///                "scoring": "incremental"|"reference",
 ///                "solver": "exact"|"greedy"|"grasp"|"ils",
 ///                "reduce": bool, "reduce_coarsen": int,
 ///                "reduce_band_m": num, "reduce_consolidate": int},

@@ -1,9 +1,9 @@
 // SoA layout + batched-kernel equivalence suite. The elementwise kernels
 // carry a bitwise contract: every lane evaluates the exact scalar
-// geom::distance expression, so results are EXPECT_EQ-identical to the
-// loops they replaced — across 0-device, 1-device, and non-multiple-of-8
-// sizes, and across 50 fuzzed generator instances. The fast reductions are
-// only epsilon-close to the ordered ones, but must be deterministic.
+// geom::distance2 expression (and its sqrt the geom::distance one), so
+// results are EXPECT_EQ-identical to the scalar loops — across 0-device,
+// 1-device, and non-multiple-of-8 sizes, and across 50 fuzzed generator
+// instances. The ordered reductions match hand-rolled loops bitwise.
 
 #include <gtest/gtest.h>
 
@@ -133,25 +133,24 @@ TEST(BatchKernels, DistancesMatchScalarAtAwkwardSizes) {
         const geom::Vec2 p{rng.uniform(-500.0, 500.0),
                            rng.uniform(-500.0, 500.0)};
         std::vector<double> d2(n + 1, -1.0);
-        std::vector<double> d(n + 1, -1.0);
         kernels::squared_distances_to_point(xs.data(), ys.data(), n, p.x,
                                             p.y, d2.data());
-        kernels::distances_to_point(xs.data(), ys.data(), n, p.x, p.y,
-                                    d.data());
         for (std::size_t i = 0; i < n; ++i) {
             const geom::Vec2 q{xs[i], ys[i]};
             EXPECT_EQ(d2[i], geom::distance2(q, p)) << "n=" << n << " i=" << i;
-            EXPECT_EQ(d[i], geom::distance(q, p)) << "n=" << n << " i=" << i;
-            // The squares kill the sign, so the symmetric call agrees too.
-            EXPECT_EQ(d[i], geom::distance(p, q)) << "n=" << n << " i=" << i;
+            // Deferral identity; the squares kill the sign, so the
+            // symmetric call agrees too.
+            EXPECT_EQ(std::sqrt(d2[i]), geom::distance(q, p))
+                << "n=" << n << " i=" << i;
+            EXPECT_EQ(std::sqrt(d2[i]), geom::distance(p, q))
+                << "n=" << n << " i=" << i;
         }
         // The kernel writes exactly n outputs.
         EXPECT_EQ(d2[n], -1.0);
-        EXPECT_EQ(d[n], -1.0);
     }
 }
 
-TEST(BatchKernels, InsertionEdgeDeltasMatchScalar) {
+TEST(BatchKernels, SquaredInsertionLowerBoundsMatchScalar) {
     util::Rng rng(7);
     for (int trial = 0; trial < 20; ++trial) {
         const std::size_t n = static_cast<std::size_t>(
@@ -165,23 +164,21 @@ TEST(BatchKernels, InsertionEdgeDeltasMatchScalar) {
         const geom::Vec2 a{rng.uniform(0.0, 300.0), rng.uniform(0.0, 300.0)};
         const geom::Vec2 p{rng.uniform(0.0, 300.0), rng.uniform(0.0, 300.0)};
         const geom::Vec2 b{rng.uniform(0.0, 300.0), rng.uniform(0.0, 300.0)};
-        const double len_ap = geom::distance(a, p);
-        const double len_pb = geom::distance(p, b);
-        std::vector<double> n1(n), n2(n);
-        kernels::insertion_edge_deltas(xs.data(), ys.data(), n, a, p, b,
-                                       len_ap, len_pb, n1.data(), n2.data());
+        std::vector<double> s1(n), s2(n);
+        kernels::squared_insertion_lower_bounds(xs.data(), ys.data(), n, a,
+                                                p, b, s1.data(), s2.data());
         for (std::size_t i = 0; i < n; ++i) {
             const geom::Vec2 x{xs[i], ys[i]};
-            const double d_xp = geom::distance(x, p);
-            EXPECT_EQ(n1[i], geom::distance(a, x) + d_xp - len_ap)
+            const double d2_xp = geom::distance2(x, p);
+            EXPECT_EQ(s1[i], geom::distance2(a, x) + d2_xp)
                 << "trial " << trial << " i=" << i;
-            EXPECT_EQ(n2[i], d_xp + geom::distance(x, b) - len_pb)
+            EXPECT_EQ(s2[i], d2_xp + geom::distance2(x, b))
                 << "trial " << trial << " i=" << i;
         }
     }
 }
 
-TEST(BatchKernels, FillDistanceTileMatchesScalar) {
+TEST(BatchKernels, FillSquaredDistanceTileMatchesScalar) {
     util::Rng rng(13);
     const std::size_t n = 37;  // deliberately not a multiple of 8
     util::AlignedVector<double> xs(soa_padded(n), 0.0);
@@ -193,13 +190,14 @@ TEST(BatchKernels, FillDistanceTileMatchesScalar) {
     const geom::Vec2 p{rng.uniform(0.0, 400.0), rng.uniform(0.0, 400.0)};
     std::vector<double> row(n, -1.0);
     // Two tiles with a seam in the middle of a lane group.
-    kernels::fill_distance_tile(xs.data(), ys.data(), 0, 19, p.x, p.y,
-                                row.data());
-    kernels::fill_distance_tile(xs.data(), ys.data(), 19, n, p.x, p.y,
-                                row.data());
+    kernels::fill_squared_distance_tile(xs.data(), ys.data(), 0, 19, p.x,
+                                        p.y, row.data());
+    kernels::fill_squared_distance_tile(xs.data(), ys.data(), 19, n, p.x,
+                                        p.y, row.data());
     for (std::size_t c = 0; c < n; ++c) {
-        EXPECT_EQ(row[c], geom::distance(p, geom::Vec2{xs[c], ys[c]}))
-            << "col " << c;
+        const geom::Vec2 node{xs[c], ys[c]};
+        EXPECT_EQ(row[c], geom::distance2(p, node)) << "col " << c;
+        EXPECT_EQ(std::sqrt(row[c]), geom::distance(p, node)) << "col " << c;
     }
 }
 
@@ -212,14 +210,12 @@ TEST(BatchKernels, FuzzedInstancesMatchScalarBitwise) {
         const DeviceSoa soa = build_device_soa(inst);
         const std::size_t n = soa.size();
         const geom::Vec2 q{rng.uniform(0.0, 500.0), rng.uniform(0.0, 500.0)};
-        std::vector<double> d(n), d2(n);
-        kernels::distances_to_point(soa.pos.xs.data(), soa.pos.ys.data(), n,
-                                    q.x, q.y, d.data());
+        std::vector<double> d2(n);
         kernels::squared_distances_to_point(soa.pos.xs.data(),
                                             soa.pos.ys.data(), n, q.x, q.y,
                                             d2.data());
         for (std::size_t v = 0; v < n; ++v) {
-            EXPECT_EQ(d[v], geom::distance(inst.devices[v].pos, q))
+            EXPECT_EQ(std::sqrt(d2[v]), geom::distance(inst.devices[v].pos, q))
                 << "trial " << trial << " device " << v;
             EXPECT_EQ(d2[v], geom::distance2(inst.devices[v].pos, q))
                 << "trial " << trial << " device " << v;
@@ -264,48 +260,6 @@ TEST(BatchKernels, OrderedReductionsMatchReferenceLoops) {
     }
     EXPECT_EQ(kernels::capped_sum_ordered(idx.data(), m, data.data(), cap),
               capped);
-}
-
-// --- Fast reductions: epsilon-close to ordered, bitwise-deterministic.
-
-TEST(BatchKernels, FastReductionsAreCloseAndDeterministic) {
-    util::Rng rng(31);
-    for (const std::size_t m : {0u, 1u, 7u, 8u, 9u, 40u, 171u}) {
-        std::vector<std::int32_t> idx(m);
-        const std::size_t pool = std::max<std::size_t>(1, m);
-        util::AlignedVector<double> data(pool, 0.0), upload(pool, 0.0);
-        std::vector<char> mask(pool, 0);
-        for (std::size_t j = 0; j < m; ++j) {
-            idx[j] = static_cast<std::int32_t>(
-                rng.uniform_int(0, static_cast<std::int64_t>(pool) - 1));
-        }
-        for (std::size_t v = 0; v < pool; ++v) {
-            data[v] = rng.uniform(0.0, 900.0);
-            upload[v] = rng.uniform(0.0, 90.0);
-            mask[v] = rng.uniform(0.0, 1.0) < 0.2 ? 1 : 0;
-        }
-        const auto ordered = kernels::residual_gain_ordered(
-            idx.data(), m, data.data(), upload.data(), mask.data());
-        const auto fast = kernels::residual_gain_fast(
-            idx.data(), m, data.data(), upload.data(), mask.data());
-        const auto fast2 = kernels::residual_gain_fast(
-            idx.data(), m, data.data(), upload.data(), mask.data());
-        // max is exact under any association; the sum is epsilon-close.
-        EXPECT_EQ(fast.max_s, ordered.max_s) << "m=" << m;
-        EXPECT_EQ(fast.sum_mb, fast2.sum_mb) << "m=" << m;
-        const double scale = std::max(1.0, std::abs(ordered.sum_mb));
-        EXPECT_NEAR(fast.sum_mb, ordered.sum_mb, 1e-10 * scale) << "m=" << m;
-
-        const double cap = 130.0;
-        const double co =
-            kernels::capped_sum_ordered(idx.data(), m, data.data(), cap);
-        const double cf =
-            kernels::capped_sum_fast(idx.data(), m, data.data(), cap);
-        EXPECT_EQ(cf, kernels::capped_sum_fast(idx.data(), m, data.data(),
-                                               cap))
-            << "m=" << m;
-        EXPECT_NEAR(cf, co, 1e-10 * std::max(1.0, std::abs(co))) << "m=" << m;
-    }
 }
 
 }  // namespace

@@ -112,31 +112,6 @@ TEST(Conformance, FuzzHundredInstancesAllPlanners) {
     }
 }
 
-// Epsilon tier: opt-in kIncrementalFast cross-check. Each scoring-aware
-// planner contributes two extra checks per instance — the fast plan's own
-// cross-layer conformance, and the fast-vs-default outcome drift.
-TEST(Conformance, FastScoringEpsilonTier) {
-    ConformanceFuzzConfig cfg;
-    cfg.instances = 12;
-    cfg.seed = 20260808;
-    cfg.planners = {"alg2", "alg3", "benchmark"};
-    cfg.check_fast_scoring = true;
-    const auto summary = fuzz_conformance(cfg);
-    EXPECT_EQ(summary.instances, 12);
-    // base + stressed + fast-conformance + drift = 4 per (instance, planner)
-    EXPECT_EQ(summary.plans_checked, 12 * 3 * 4);
-    EXPECT_TRUE(summary.ok());
-    for (const auto& f : summary.failures) {
-        ADD_FAILURE() << "planner " << f.planner << " on seed "
-                      << f.instance_seed << ": " << f.mismatches.size()
-                      << " mismatches, first: ["
-                      << to_string(f.mismatches.front().check) << "] "
-                      << f.mismatches.front().field << " expected "
-                      << f.mismatches.front().expected << " got "
-                      << f.mismatches.front().actual;
-    }
-}
-
 TEST(Conformance, FuzzIsDeterministic) {
     ConformanceFuzzConfig cfg;
     cfg.instances = 5;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <future>
 #include <map>
@@ -146,6 +147,21 @@ TEST(ServiceRequest, MalformedRequestsThrow) {
 
     EXPECT_THROW((void)request_from_json(io::Json("not an object")),
                  std::runtime_error);
+
+    // A retired scoring engine name is a structured bad request naming the
+    // engines that exist.
+    io::Json retired = ok;
+    io::Json retired_opts;
+    retired_opts["scoring"] = "incremental-fast";
+    retired["options"] = retired_opts;
+    try {
+        (void)request_from_json(retired);
+        ADD_FAILURE() << "a retired scoring engine was accepted";
+    } catch (const std::runtime_error& ex) {
+        EXPECT_NE(std::string(ex.what()).find("incremental|reference"),
+                  std::string::npos)
+            << ex.what();
+    }
 }
 
 TEST(ServiceRequest, ResponseRoundTrip) {
@@ -292,6 +308,45 @@ TEST(Service, ConcurrentResponsesBitIdenticalToSerialExecution) {
                 << planner << " diverged from the serial registry run";
         }
     }
+}
+
+// Workers that miss the same key at once must all answer with the first
+// stored result: N byte-identical wires, one cache entry, and one record
+// for the repository. Rounds repeat until two misses actually overlapped.
+TEST(Service, ConcurrentDuplicateMissesReplyWithFirstStoredResult) {
+    const auto inst = uavdc::testing::small_instance(60, 400.0, 83);
+    constexpr std::size_t kRequests = 8;
+    for (int round = 0; round < 20; ++round) {
+        PlanService::Config cfg;
+        cfg.workers = 4;
+        cfg.defaults = fast_options();
+        std::atomic<int> stored{0};
+        cfg.store.on_response = [&](std::uint64_t, std::uint64_t,
+                                    const std::string&, std::uint64_t,
+                                    const io::Json&) { ++stored; };
+        std::mutex mu;
+        std::vector<std::string> wires;
+        PlanService svc(cfg);
+        for (std::size_t i = 0; i < kRequests; ++i) {
+            svc.submit(make_request("dup#" + std::to_string(i), "alg3", inst),
+                       [&](PlanResponse resp) {
+                           ASSERT_EQ(resp.status, ResponseStatus::kOk)
+                               << resp.error;
+                           ASSERT_NE(resp.result_wire, nullptr);
+                           EXPECT_EQ(resp.result.dump(), *resp.result_wire);
+                           std::lock_guard lock(mu);
+                           wires.push_back(*resp.result_wire);
+                       });
+        }
+        svc.drain();
+        const ServiceStats stats = svc.stats();
+        ASSERT_EQ(wires.size(), kRequests);
+        for (const auto& w : wires) EXPECT_EQ(w, wires.front());
+        EXPECT_EQ(stats.cache_entries, 1u);
+        EXPECT_EQ(stored.load(), 1);
+        if (::testing::Test::HasFailure() || stats.cache_misses >= 2) return;
+    }
+    FAIL() << "no two workers missed the same key at once in 20 rounds";
 }
 
 TEST(Service, CacheHitPayloadEqualsMissPayload) {
@@ -733,6 +788,12 @@ TEST(ServiceJsonl, MalformedLinesGetErrorResponsesNotAborts) {
         ok_req.planner = "benchmark";
         ok_req.instance = inst;
         input << to_json(ok_req).dump() << "\n";
+        io::Json retired = to_json(ok_req);
+        retired["id"] = "f1";
+        io::Json retired_opts;
+        retired_opts["scoring"] = "incremental-fast";
+        retired["options"] = retired_opts;
+        input << retired.dump() << "\n";
     }
 
     JsonlConfig cfg;
@@ -742,8 +803,8 @@ TEST(ServiceJsonl, MalformedLinesGetErrorResponsesNotAborts) {
     std::ostringstream out;
     const JsonlSummary summary = serve_jsonl(in, out, cfg);
 
-    EXPECT_EQ(summary.lines, 4u);
-    EXPECT_EQ(summary.parse_errors, 3u);
+    EXPECT_EQ(summary.lines, 5u);
+    EXPECT_EQ(summary.parse_errors, 4u);
     EXPECT_EQ(summary.requests, 1u);
 
     int bad = 0;
@@ -753,12 +814,17 @@ TEST(ServiceJsonl, MalformedLinesGetErrorResponsesNotAborts) {
         if (status == "bad_request") {
             ++bad;
             EXPECT_FALSE(doc.string_or("error", "").empty());
+            if (doc.string_or("id", "") == "f1") {
+                EXPECT_NE(doc.string_or("error", "").find(
+                              "incremental|reference"),
+                          std::string::npos);
+            }
         } else if (status == "ok") {
             ++ok;
             EXPECT_EQ(doc.string_or("id", ""), "ok1");
         }
     }
-    EXPECT_EQ(bad, 3);
+    EXPECT_EQ(bad, 4);
     EXPECT_EQ(ok, 1);
 }
 

@@ -53,7 +53,7 @@ int usage() {
         "            [--devices=N] [--side=M] [--energy=J] [--seed=S]\n"
         "  plan      --instance=FILE --algo=alg1|alg2|alg3|benchmark\n"
         "            [--delta=10] [--k=2] [--max-candidates=4000]\n"
-        "            [--scoring=incremental|incremental-fast|reference]\n"
+        "            [--scoring=incremental|reference]\n"
         "            [--reduce] [--reduce-coarsen=F] [--reduce-band=M]\n"
         "            [--reduce-consolidate=N] [--out=FILE]\n"
         "  eval      --instance=FILE --plan=FILE [--json]\n"
@@ -65,7 +65,6 @@ int usage() {
         "            [--wind-max=4] [--taper-max=0.5]\n"
         "  conformance [--instances=100] [--seed=S] [--algos=a,b,...]\n"
         "            [--tol=1e-6] [--no-stress] [--max-failures=8]\n"
-        "            [--fast-scoring] [--fast-tol=1e-9]\n"
         "            [--reduction] [--reduction-tol=0.01]\n"
         "  sensitivity --instance=FILE [--algo=alg2] [--perturb=0.2]\n"
         "  render    --instance=FILE [--plan=FILE] --out=FILE.svg\n"
@@ -151,7 +150,7 @@ int cmd_plan(const util::Flags& flags) {
     } else {
         throw std::runtime_error(
             "unknown scoring '" + scoring +
-            "' (expected incremental|incremental-fast|reference)");
+            "' (expected incremental|reference)");
     }
     apply_reduction_flags(flags, opts);
     auto planner =
@@ -344,8 +343,6 @@ int cmd_conformance(const util::Flags& flags) {
     cfg.tol = flags.get_double("tol", cfg.tol);
     cfg.stress_energy = !flags.get_bool("no-stress", false);
     cfg.max_failures = flags.get_int("max-failures", cfg.max_failures);
-    cfg.check_fast_scoring = flags.get_bool("fast-scoring", false);
-    cfg.fast_rel_tol = flags.get_double("fast-tol", cfg.fast_rel_tol);
     cfg.check_reduction = flags.get_bool("reduction", false);
     cfg.reduction_rel_tol =
         flags.get_double("reduction-tol", cfg.reduction_rel_tol);
