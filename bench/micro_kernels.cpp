@@ -5,13 +5,11 @@
 // batched-vs-scalar kernel cases and writes the uavdc-bench-kernels-v1
 // schema (add --quick for the CI smoke variant checked by
 // scripts/check_perf_regression.py). Each case times both forms and
-// asserts the outputs are bit-identical (or, for the squared matrix fill,
-// the sqrt-deferral identity), so the perf baseline doubles as an
-// equivalence check.
+// asserts the outputs are bit-identical, so the perf baseline doubles as
+// an equivalence check.
 
 #include <benchmark/benchmark.h>
 
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -153,63 +151,8 @@ KernelCase case_squared_insertion_lb(bool quick) {
     return out;
 }
 
-/// Squared distance-matrix tile fill vs the scalar exact (sqrt-taking)
-/// geom::distance fill. The deferral identity is asserted bitwise before
-/// timing: sqrt of every squared cell must reproduce the exact fill
-/// exactly, which is what lets consumers defer the sqrt to survivors
-/// without changing any plan.
-KernelCase case_squared_matrix_fill(bool quick) {
-    const std::size_t n = quick ? 192 : 640;
-    const Cloud c = make_cloud(n, 41);
-    std::vector<double> flat_sq(n * n), flat_exact(n * n);
-    constexpr std::size_t kColTile = 1024;
-    const auto exact_fill = [&] {
-        for (std::size_t r = 0; r < n; ++r) {
-            for (std::size_t col = 0; col < n; ++col) {
-                flat_exact[r * n + col] = geom::distance(c.aos[r], c.aos[col]);
-            }
-        }
-    };
-    exact_fill();
-    for (std::size_t r = 0; r < n; ++r) {
-        const geom::Vec2 p = c.aos[r];
-        core::kernels::fill_squared_distance_tile(c.xs.data(), c.ys.data(), 0,
-                                                  n, p.x, p.y,
-                                                  flat_sq.data() + r * n);
-    }
-    for (std::size_t i = 0; i < n * n; ++i) {
-        UAVDC_CHECK(std::sqrt(flat_sq[i]) == flat_exact[i])
-            << "sq_matrix_fill: deferral identity broke at cell " << i;
-    }
-    KernelCase out;
-    out.name = "sq_matrix_fill";
-    out.n = static_cast<int>(n);
-    out.batched = timed_reps(5, [&] {
-        for (std::size_t r = 0; r < n; ++r) {
-            const geom::Vec2 p = c.aos[r];
-            for (std::size_t c0 = 0; c0 < n; c0 += kColTile) {
-                core::kernels::fill_squared_distance_tile(
-                    c.xs.data(), c.ys.data(), c0, std::min(n, c0 + kColTile),
-                    p.x, p.y, flat_sq.data() + r * n);
-            }
-        }
-        benchmark::DoNotOptimize(flat_sq.data());
-    });
-    // "scalar" column: the scalar exact fill PlanningContext runs, so the
-    // speedup column is the sqrt-deferral gain of the squared kernel.
-    out.scalar = timed_reps(5, [&] {
-        exact_fill();
-        benchmark::DoNotOptimize(flat_exact.data());
-    });
-    out.batched_s = out.batched.min_s;
-    out.scalar_s = out.scalar.min_s;
-    out.speedup = out.scalar_s / out.batched_s;
-    return out;
-}
-
 std::vector<KernelCase> run_kernel_baselines(bool quick) {
-    return {case_squared_distances(quick), case_squared_insertion_lb(quick),
-            case_squared_matrix_fill(quick)};
+    return {case_squared_distances(quick), case_squared_insertion_lb(quick)};
 }
 
 void write_kernel_baselines(const std::string& path, bool quick,

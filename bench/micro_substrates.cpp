@@ -5,7 +5,6 @@
 
 #include "uavdc/core/algorithm2.hpp"
 #include "uavdc/geom/coverage.hpp"
-#include "uavdc/geom/grid.hpp"
 #include "uavdc/geom/hull.hpp"
 #include "uavdc/geom/kmeans.hpp"
 #include "uavdc/geom/obstacle_field.hpp"
@@ -61,11 +60,10 @@ BENCHMARK(BM_SpatialHashQuery)->Arg(500)->Arg(5000);
 void BM_CoverageIndexBuild(benchmark::State& state) {
     const auto devices =
         random_points(static_cast<int>(state.range(0)), 3, 1000.0);
-    const geom::Grid grid(geom::Aabb::of_size(1000.0, 1000.0), 10.0);
-    const auto centers = grid.all_centers();
+    const auto centers = random_points(10000, 4, 1000.0);
     for (auto _ : state) {
         geom::CoverageIndex cov(centers, devices, 50.0);
-        benchmark::DoNotOptimize(cov.num_uncovered_devices());
+        benchmark::DoNotOptimize(cov.covered(0).data());
     }
 }
 BENCHMARK(BM_CoverageIndexBuild)->Arg(100)->Arg(500);

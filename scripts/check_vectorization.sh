@@ -48,7 +48,6 @@ fi
 kernels=(
     squared_distances_to_point
     squared_insertion_lower_bounds
-    fill_squared_distance_tile
 )
 
 status=0

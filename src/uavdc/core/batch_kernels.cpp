@@ -39,16 +39,6 @@ UAVDC_KERNEL_BODY void squared_distances_body(const double* xs,
     }
 }
 
-UAVDC_KERNEL_BODY void fill_squared_distance_tile_body(
-    const double* xs, const double* ys, std::size_t c0, std::size_t c1,
-    double px, double py, double* row) {
-    for (std::size_t c = c0; c < c1; ++c) {
-        const double dx = px - xs[c];
-        const double dy = py - ys[c];
-        row[c] = dx * dx + dy * dy;
-    }
-}
-
 UAVDC_KERNEL_BODY void squared_insertion_lower_bounds_body(
     const double* xs, const double* ys, std::size_t n, geom::Vec2 a,
     geom::Vec2 p, geom::Vec2 b, double* s1, double* s2) {
@@ -82,12 +72,6 @@ __attribute__((target("avx2"))) void squared_distances_avx2(
     squared_distances_body(xs, ys, n, px, py, out);
 }
 
-__attribute__((target("avx2"))) void fill_squared_distance_tile_avx2(
-    const double* xs, const double* ys, std::size_t c0, std::size_t c1,
-    double px, double py, double* row) {
-    fill_squared_distance_tile_body(xs, ys, c0, c1, px, py, row);
-}
-
 __attribute__((target("avx2"))) void squared_insertion_lower_bounds_avx2(
     const double* xs, const double* ys, std::size_t n, geom::Vec2 a,
     geom::Vec2 p, geom::Vec2 b, double* s1, double* s2) {
@@ -108,18 +92,6 @@ void squared_distances_to_point(const double* xs, const double* ys,
     }
 #endif
     squared_distances_body(xs, ys, n, px, py, out);
-}
-
-void fill_squared_distance_tile(const double* xs, const double* ys,
-                                std::size_t c0, std::size_t c1, double px,
-                                double py, double* row) {
-#if UAVDC_HAVE_AVX2_DISPATCH
-    if (cpu_has_avx2()) {
-        fill_squared_distance_tile_avx2(xs, ys, c0, c1, px, py, row);
-        return;
-    }
-#endif
-    fill_squared_distance_tile_body(xs, ys, c0, c1, px, py, row);
 }
 
 void squared_insertion_lower_bounds(const double* xs, const double* ys,

@@ -9,9 +9,8 @@
 /// (core/soa_layout). Two tiers:
 ///
 ///  * Elementwise kernels (this header's declarations, bodies in
-///    batch_kernels.cpp): N-at-a-time squared distances, squared
-///    insertion-edge lower bounds, and the cache-blocked squared
-///    distance-matrix tile fill. Written as plain loops the compiler
+///    batch_kernels.cpp): N-at-a-time squared distances and squared
+///    insertion-edge lower bounds. Written as plain loops the compiler
 ///    auto-vectorizes (CI greps `-Rpass=loop-vectorize` / optimization
 ///    records for them — scripts/check_vectorization.sh); the TU is built
 ///    with -ffp-contract=off and per-lane IEEE ops only, so every lane is
@@ -34,18 +33,6 @@ namespace uavdc::core::kernels {
 void squared_distances_to_point(const double* xs, const double* ys,
                                 std::size_t n, double px, double py,
                                 double* out);
-
-/// One tile of the flat squared distance-matrix fill: row[c] = d2(p, node_c)
-/// for c in [c0, c1), where node coordinates live in xs/ys. `row` points at
-/// the row's column 0, i.e. the tile writes row[c0..c1). Expression order
-/// matches geom::distance(p, node) with the sqrt deferred — (p - node),
-/// squared, summed — so geom::distance(p, node_c) == std::sqrt(row[c])
-/// bit-for-bit (the deferral identity the micro_kernels cross-check
-/// asserts), and squared-space prefilters can resolve survivors by sqrt-ing
-/// exactly the values this kernel produced.
-void fill_squared_distance_tile(const double* xs, const double* ys,
-                                std::size_t c0, std::size_t c1, double px,
-                                double py, double* row);
 
 /// Squared lower-bound inputs for the InsertionCache::on_insert prune pass:
 /// for each candidate x_i = (xs[i], ys[i]),

@@ -6,9 +6,7 @@
 
 #include "uavdc/core/batch_kernels.hpp"
 #include "uavdc/core/soa_layout.hpp"
-#include "uavdc/geom/coverage.hpp"
 #include "uavdc/util/check.hpp"
-#include "uavdc/util/parallel_for.hpp"
 
 namespace uavdc::core {
 
@@ -53,11 +51,6 @@ HoverCandidateSet build_hover_candidates(const model::Instance& inst,
     const geom::Grid grid(hover_region, cfg.delta_m);
     out.grid_cells = grid.num_cells();
 
-    const auto dev_pos = inst.device_positions();
-    const auto centers = grid.all_centers();
-    const geom::CoverageIndex cov(centers, dev_pos,
-                                  inst.uav.coverage_radius_m);
-
     const double eta_h = inst.uav.hover_power_w;
     // SoA device plane for the scoring kernels: data volumes plus
     // precomputed upload times (bit-identical to Device::upload_time).
@@ -68,38 +61,46 @@ HoverCandidateSet build_hover_candidates(const model::Instance& inst,
     const DeviceSoa& soa = device_soa == nullptr ? local_soa : *device_soa;
     UAVDC_DCHECK(soa.data_mb.size() >= inst.devices.size());
 
-    // Per-cell Eq. 6-8 quantities are independent: score every cell into
-    // its own slot on the thread pool, then compact in cell order (keeps
-    // the output identical to a serial pass regardless of thread count).
-    const auto num_cells = static_cast<std::size_t>(grid.num_cells());
-    std::vector<HoverCandidate> slots(num_cells);
-    auto score_cell = [&](std::size_t id) {
-        const auto& covered = cov.covered(util::checked_cast<int>(id));
-        HoverCandidate& c = slots[id];
-        c.cell_id = -1;  // stays -1 when the cell yields no candidate
-        if (covered.empty()) return;
-        if (cfg.position_ok && !cfg.position_ok(centers[id])) return;
-        c.pos = centers[id];
-        c.cell_id = util::checked_cast<int>(id);
-        c.covered = covered;
-        // Eq. 6-8 award/dwell, accumulated in covered-list order (the same
-        // order and expressions as the scalar loop this replaces).
-        const kernels::GainAccum g = kernels::award_dwell_ordered(
-            covered.data(), covered.size(), soa.data_mb.data(),
-            soa.upload_s.data());
-        c.award_mb = g.sum_mb;
-        c.dwell_s = g.max_s;
-        c.hover_energy_j = c.dwell_s * eta_h;
-    };
-    constexpr std::size_t kParallelCells = 1024;
-    if (num_cells >= kParallelCells) {
-        util::parallel_for(0, num_cells, score_cell, 128);
-    } else {
-        for (std::size_t id = 0; id < num_cells; ++id) score_cell(id);
+    // Enumerate from the devices out: every (cell, device) pair with the
+    // cell centre within R0 of the device, packed as cell_id << 32 | v.
+    // Sorting groups each cell's coverage set into one run, cells in id
+    // order and devices ascending within it, so the result equals a scan
+    // of every cell while touching only the covering ones.
+    std::vector<std::uint64_t> pairs;
+    for (std::size_t v = 0; v < inst.devices.size(); ++v) {
+        for (const int id : grid.cells_with_center_in_disk(
+                 inst.devices[v].pos, inst.uav.coverage_radius_m)) {
+            pairs.push_back((static_cast<std::uint64_t>(id) << 32U) | v);
+        }
     }
+    std::sort(pairs.begin(), pairs.end());
+
     std::vector<HoverCandidate> cands;
-    for (auto& slot : slots) {
-        if (slot.cell_id >= 0) cands.push_back(std::move(slot));
+    for (std::size_t run = 0; run < pairs.size();) {
+        const std::uint64_t cell = pairs[run] >> 32U;
+        std::size_t end = run + 1;
+        while (end < pairs.size() && pairs[end] >> 32U == cell) ++end;
+        const int id = util::checked_cast<int>(cell);
+        const geom::Vec2 pos = grid.center(id);
+        if (!cfg.position_ok || cfg.position_ok(pos)) {
+            HoverCandidate c;
+            c.pos = pos;
+            c.cell_id = id;
+            c.covered.reserve(end - run);
+            for (std::size_t i = run; i < end; ++i) {
+                c.covered.push_back(
+                    util::checked_cast<int>(pairs[i] & 0xFFFFFFFFU));
+            }
+            // Eq. 6-8 award/dwell, accumulated in covered-list order.
+            const kernels::GainAccum g = kernels::award_dwell_ordered(
+                c.covered.data(), c.covered.size(), soa.data_mb.data(),
+                soa.upload_s.data());
+            c.award_mb = g.sum_mb;
+            c.dwell_s = g.max_s;
+            c.hover_energy_j = c.dwell_s * eta_h;
+            cands.push_back(std::move(c));
+        }
+        run = end;
     }
     out.nonzero_cells = util::checked_cast<int>(cands.size());
 

@@ -48,8 +48,6 @@ PlanningContext::PlanningContext(model::Instance inst,
     : inst_(std::move(inst)),
       cfg_(std::move(cfg)),
       energy_(inst_.uav),
-      device_index_(inst_.device_positions(),
-                    std::max(inst_.uav.coverage_radius_m, 1e-9)),
       device_soa_(build_device_soa(inst_)) {
     std::uint64_t h = instance_fingerprint(inst_);
     fnv_mix(h, config_fingerprint(cfg_));

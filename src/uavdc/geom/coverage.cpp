@@ -14,9 +14,7 @@ constexpr std::size_t kParallelCenters = 512;
 
 CoverageIndex::CoverageIndex(std::span<const Vec2> centers,
                              std::span<const Vec2> devices, double radius)
-    : radius_(radius),
-      covered_(centers.size()),
-      covering_(devices.size()) {
+    : covered_(centers.size()) {
     if (radius < 0.0) {
         throw std::invalid_argument("CoverageIndex: radius must be >= 0");
     }
@@ -38,21 +36,6 @@ CoverageIndex::CoverageIndex(std::span<const Vec2> centers,
     } else {
         for (std::size_t c = 0; c < centers.size(); ++c) cover_one(c);
     }
-    // Invert serially in centre order so covering_ lists come out sorted.
-    for (std::size_t c = 0; c < centers.size(); ++c) {
-        for (int dev : covered_[c]) {
-            covering_[static_cast<std::size_t>(dev)].push_back(
-                static_cast<int>(c));
-        }
-    }
-}
-
-int CoverageIndex::num_uncovered_devices() const {
-    int n = 0;
-    for (const auto& lst : covering_) {
-        if (lst.empty()) ++n;
-    }
-    return n;
 }
 
 }  // namespace uavdc::geom

@@ -8,12 +8,11 @@
 
 namespace uavdc::geom {
 
-/// Bidirectional coverage map between candidate hovering locations and
-/// devices: C(s_j) = { v_i : |v_i - s_j| <= R0 } (Sec. III-B, Eq. 2) and the
-/// inverse map (which hovering locations cover a given device).
+/// Coverage map from candidate hovering locations to devices:
+/// C(s_j) = { v_i : |v_i - s_j| <= R0 } (Sec. III-B, Eq. 2).
 ///
-/// Built once per instance via a spatial hash over device positions; queries
-/// are O(1) lookups afterwards.
+/// Built once per centre set via a spatial hash over device positions;
+/// queries are O(1) lookups afterwards.
 class CoverageIndex {
   public:
     /// `centers` are the candidate hovering locations (projected to ground),
@@ -21,26 +20,15 @@ class CoverageIndex {
     CoverageIndex(std::span<const Vec2> centers, std::span<const Vec2> devices,
                   double radius);
 
-    [[nodiscard]] double radius() const { return radius_; }
     [[nodiscard]] std::size_t num_centers() const { return covered_.size(); }
-    [[nodiscard]] std::size_t num_devices() const { return covering_.size(); }
 
     /// Device indices covered from hovering location `center` (sorted).
     [[nodiscard]] const std::vector<int>& covered(int center) const {
         return covered_[static_cast<std::size_t>(center)];
     }
-    /// Hovering-location indices covering `device` (sorted).
-    [[nodiscard]] const std::vector<int>& covering(int device) const {
-        return covering_[static_cast<std::size_t>(device)];
-    }
-
-    /// Number of devices covered by no centre at all (unreachable data).
-    [[nodiscard]] int num_uncovered_devices() const;
 
   private:
-    double radius_;
-    std::vector<std::vector<int>> covered_;   // centre -> devices
-    std::vector<std::vector<int>> covering_;  // device -> centres
+    std::vector<std::vector<int>> covered_;  // centre -> devices
 };
 
 }  // namespace uavdc::geom

@@ -1,6 +1,8 @@
 #include "uavdc/geom/grid.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "uavdc/util/check.hpp"
@@ -9,10 +11,15 @@ namespace uavdc::geom {
 
 namespace {
 
-int cells_along(double extent, double delta) {
+double cells_along(double extent, double delta) {
     // At least one cell; round up so the grid covers the whole region.
-    const double n = std::ceil(extent / delta);
-    return std::max(1, static_cast<int>(n));
+    return std::max(1.0, std::ceil(extent / delta));
+}
+
+/// Clamp a fractional cell-index bound to [0, n - 1] before it is cast, so
+/// a disk far wider than the grid cannot overflow the conversion.
+int clamp_index(double i, int n) {
+    return static_cast<int>(std::clamp(i, 0.0, static_cast<double>(n - 1)));
 }
 
 }  // namespace
@@ -25,8 +32,15 @@ Grid::Grid(Aabb region, double delta)
     if (!(delta > 0.0)) {
         throw std::invalid_argument("Grid: delta must be positive");
     }
-    nx_ = cells_along(region_.width(), delta_);
-    ny_ = cells_along(region_.height(), delta_);
+    const double nx = cells_along(region_.width(), delta_);
+    const double ny = cells_along(region_.height(), delta_);
+    // Cell ids are int: reject grids whose cell count does not fit (the
+    // negated test also rejects a NaN extent).
+    if (!(nx * ny <= std::numeric_limits<int>::max())) {
+        throw std::invalid_argument("Grid: cell count exceeds INT_MAX");
+    }
+    nx_ = static_cast<int>(nx);
+    ny_ = static_cast<int>(ny);
 }
 
 Vec2 Grid::center(int id) const {
@@ -46,12 +60,8 @@ Aabb Grid::cell_box(int id) const {
 }
 
 int Grid::cell_of(const Vec2& p) const {
-    auto clamp_idx = [](double v, int n) {
-        const int i = static_cast<int>(std::floor(v));
-        return std::clamp(i, 0, n - 1);
-    };
-    const int ix = clamp_idx((p.x - region_.lo.x) / delta_, nx_);
-    const int iy = clamp_idx((p.y - region_.lo.y) / delta_, ny_);
+    const int ix = clamp_index(std::floor((p.x - region_.lo.x) / delta_), nx_);
+    const int iy = clamp_index(std::floor((p.y - region_.lo.y) / delta_), ny_);
     return id_of(ix, iy);
 }
 
@@ -59,30 +69,22 @@ std::vector<int> Grid::cells_with_center_in_disk(const Vec2& p,
                                                  double r) const {
     std::vector<int> out;
     if (r < 0.0) return out;
-    // Candidate index window around p.
-    const int ix_lo = static_cast<int>(
-        std::floor((p.x - r - region_.lo.x) / delta_ - 0.5));
-    const int ix_hi = static_cast<int>(
-        std::ceil((p.x + r - region_.lo.x) / delta_ - 0.5));
-    const int iy_lo = static_cast<int>(
-        std::floor((p.y - r - region_.lo.y) / delta_ - 0.5));
-    const int iy_hi = static_cast<int>(
-        std::ceil((p.y + r - region_.lo.y) / delta_ - 0.5));
+    // Candidate index window around p, clamped to the grid.
+    const int ix_lo =
+        clamp_index(std::floor((p.x - r - region_.lo.x) / delta_ - 0.5), nx_);
+    const int ix_hi =
+        clamp_index(std::ceil((p.x + r - region_.lo.x) / delta_ - 0.5), nx_);
+    const int iy_lo =
+        clamp_index(std::floor((p.y - r - region_.lo.y) / delta_ - 0.5), ny_);
+    const int iy_hi =
+        clamp_index(std::ceil((p.y + r - region_.lo.y) / delta_ - 0.5), ny_);
     const double r2 = r * r;
-    for (int iy = std::max(0, iy_lo); iy <= std::min(ny_ - 1, iy_hi); ++iy) {
-        for (int ix = std::max(0, ix_lo); ix <= std::min(nx_ - 1, ix_hi);
-             ++ix) {
+    for (int iy = iy_lo; iy <= iy_hi; ++iy) {
+        for (int ix = ix_lo; ix <= ix_hi; ++ix) {
             const int id = id_of(ix, iy);
             if (distance2(center(id), p) <= r2) out.push_back(id);
         }
     }
-    return out;
-}
-
-std::vector<Vec2> Grid::all_centers() const {
-    std::vector<Vec2> out;
-    out.reserve(static_cast<std::size_t>(num_cells()));
-    for (int id = 0; id < num_cells(); ++id) out.push_back(center(id));
     return out;
 }
 

@@ -19,7 +19,9 @@ namespace uavdc::geom {
 /// hover anywhere, only the devices are confined to the region).
 class Grid {
   public:
-    /// Build a grid over `region` with square edge `delta` (> 0).
+    /// Build a grid over `region` with square edge `delta` (> 0). Throws
+    /// std::invalid_argument when delta <= 0 or the cell count exceeds
+    /// INT_MAX.
     Grid(Aabb region, double delta);
 
     [[nodiscard]] const Aabb& region() const { return region_; }
@@ -46,9 +48,6 @@ class Grid {
     /// p with coverage radius r.
     [[nodiscard]] std::vector<int> cells_with_center_in_disk(const Vec2& p,
                                                              double r) const;
-
-    /// Centres of every cell, indexed by cell id.
-    [[nodiscard]] std::vector<Vec2> all_centers() const;
 
   private:
     Aabb region_;

@@ -456,7 +456,6 @@ void rule_batched_distance(RuleContext& ctx) {
                        "() inside a candidate-scoring loop runs scalar; "
                        "stream the SoA arrays through the batch kernels "
                        "(kernels::squared_distances_to_point / "
-                       "fill_squared_distance_tile / "
                        "squared_insertion_lower_bounds) or "
                        "annotate NOLINT(uavdc-batched-distance): <why this "
                        "loop must stay scalar>");

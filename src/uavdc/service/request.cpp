@@ -1,6 +1,9 @@
 #include "uavdc/service/request.hpp"
 
+#include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "uavdc/io/serialize.hpp"
 #include "uavdc/util/check.hpp"
@@ -29,10 +32,12 @@ orienteering::SolverKind solver_from_string(const std::string& s) {
     bad("unknown solver '" + s + "' (expected exact|greedy|grasp|ils)");
 }
 
-int int_field(const io::Json& obj, const std::string& key) {
+int int_field(const io::Json& obj, const std::string& key,
+              int min = std::numeric_limits<int>::min()) {
     const double v = obj.at(key).as_number();
     UAVDC_REQUIRE(v >= -2147483648.0 && v <= 2147483647.0)
         << "request field '" << key << "' out of int range: " << v;
+    if (v < min) bad("'" + key + "' must be >= " + std::to_string(min));
     return static_cast<int>(v);
 }
 
@@ -129,12 +134,16 @@ PlanRequest request_from_json(const io::Json& doc) {
         const io::Json& opts = doc.at("options");
         if (!opts.is_object()) bad("'options' must be an object");
         if (opts.contains("delta_m")) {
-            req.overrides.delta_m = opts.at("delta_m").as_number();
+            const double delta = opts.at("delta_m").as_number();
+            if (!(std::isfinite(delta) && delta > 0.0)) {
+                bad("'delta_m' must be finite and > 0");
+            }
+            req.overrides.delta_m = delta;
         }
         if (opts.contains("max_candidates")) {
             req.overrides.max_candidates = int_field(opts, "max_candidates");
         }
-        if (opts.contains("k")) req.overrides.k = int_field(opts, "k");
+        if (opts.contains("k")) req.overrides.k = int_field(opts, "k", 1);
         if (opts.contains("grasp_iterations")) {
             req.overrides.grasp_iterations =
                 int_field(opts, "grasp_iterations");
@@ -151,14 +160,14 @@ PlanRequest request_from_json(const io::Json& doc) {
             req.overrides.reduce = opts.at("reduce").as_bool();
         }
         if (opts.contains("reduce_coarsen")) {
-            req.overrides.reduce_coarsen = int_field(opts, "reduce_coarsen");
+            req.overrides.reduce_coarsen = int_field(opts, "reduce_coarsen", 1);
         }
         if (opts.contains("reduce_band_m")) {
             req.overrides.reduce_band_m = opts.at("reduce_band_m").as_number();
         }
         if (opts.contains("reduce_consolidate")) {
             req.overrides.reduce_consolidate =
-                int_field(opts, "reduce_consolidate");
+                int_field(opts, "reduce_consolidate", 0);
         }
     }
     const double priority = doc.number_or("priority", 0.0);

@@ -178,31 +178,6 @@ TEST(BatchKernels, SquaredInsertionLowerBoundsMatchScalar) {
     }
 }
 
-TEST(BatchKernels, FillSquaredDistanceTileMatchesScalar) {
-    util::Rng rng(13);
-    const std::size_t n = 37;  // deliberately not a multiple of 8
-    util::AlignedVector<double> xs(soa_padded(n), 0.0);
-    util::AlignedVector<double> ys(soa_padded(n), 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-        xs[i] = rng.uniform(0.0, 400.0);
-        ys[i] = rng.uniform(0.0, 400.0);
-    }
-    const geom::Vec2 p{rng.uniform(0.0, 400.0), rng.uniform(0.0, 400.0)};
-    std::vector<double> row(n, -1.0);
-    // Two tiles with a seam in the middle of a lane group.
-    kernels::fill_squared_distance_tile(xs.data(), ys.data(), 0, 19, p.x,
-                                        p.y, row.data());
-    kernels::fill_squared_distance_tile(xs.data(), ys.data(), 19, n, p.x,
-                                        p.y, row.data());
-    for (std::size_t c = 0; c < n; ++c) {
-        const geom::Vec2 node{xs[c], ys[c]};
-        EXPECT_EQ(row[c], geom::distance2(p, node)) << "col " << c;
-        EXPECT_EQ(std::sqrt(row[c]), geom::distance(p, node)) << "col " << c;
-    }
-}
-
-// --- The fuzz sweep: 50 generator instances, batched vs scalar, bitwise.
-
 TEST(BatchKernels, FuzzedInstancesMatchScalarBitwise) {
     util::Rng rng(20260808);
     for (int trial = 0; trial < 50; ++trial) {

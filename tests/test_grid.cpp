@@ -33,6 +33,20 @@ TEST(Grid, RejectsNonPositiveDelta) {
                  std::invalid_argument);
 }
 
+TEST(Grid, RejectsCellCountPastIntMax) {
+    // 46340^2 fits an int, 46341^2 does not.
+    const Grid fits(Aabb::of_size(46340.0, 46340.0), 1.0);
+    EXPECT_EQ(fits.num_cells(), 46340 * 46340);
+    EXPECT_EQ(fits.center(fits.num_cells() - 1), Vec2(46339.5, 46339.5));
+    EXPECT_THROW(Grid(Aabb::of_size(46341.0, 46341.0), 1.0),
+                 std::invalid_argument);
+    // One axis alone past INT_MAX, and a delta whose cell count would
+    // overflow any integer type.
+    EXPECT_THROW(Grid(Aabb::of_size(3e9, 1.0), 1.0), std::invalid_argument);
+    EXPECT_THROW(Grid(Aabb::of_size(10.0, 10.0), 1e-300),
+                 std::invalid_argument);
+}
+
 TEST(Grid, CenterOfFirstAndLastCells) {
     const Grid g(Aabb::of_size(100.0, 100.0), 10.0);
     EXPECT_EQ(g.center(0), Vec2(5.0, 5.0));
@@ -84,14 +98,6 @@ TEST(Grid, CellsWithCenterInDiskMatchesBruteForce) {
 TEST(Grid, CellsWithCenterInDiskEmptyForNegativeRadius) {
     const Grid g(Aabb::of_size(10.0, 10.0), 1.0);
     EXPECT_TRUE(g.cells_with_center_in_disk({5.0, 5.0}, -1.0).empty());
-}
-
-TEST(Grid, AllCentersCount) {
-    const Grid g(Aabb::of_size(40.0, 30.0), 10.0);
-    const auto centers = g.all_centers();
-    ASSERT_EQ(centers.size(), static_cast<std::size_t>(g.num_cells()));
-    EXPECT_EQ(centers[0], g.center(0));
-    EXPECT_EQ(centers.back(), g.center(g.num_cells() - 1));
 }
 
 TEST(Grid, OffsetRegion) {

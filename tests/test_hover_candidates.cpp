@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numbers>
 #include <set>
 
 #include "test_util.hpp"
@@ -158,6 +160,115 @@ TEST(HoverCandidates, PositionFilterDropsBlockedCells) {
     for (const auto& c : filtered.candidates) {
         EXPECT_LT(c.pos.x, 100.0);
     }
+}
+
+/// The Sec. III-B definition scanned cell by cell: every grid cell whose
+/// centre lies within R0 of a device, Eq. 6-8 accumulated in device order.
+std::vector<HoverCandidate> scan_every_cell(const model::Instance& inst,
+                                            const HoverCandidateConfig& cfg) {
+    const double r0 = inst.uav.coverage_radius_m;
+    const geom::Grid grid(
+        cfg.inflate_by_coverage ? inst.region.inflated(r0) : inst.region,
+        cfg.delta_m);
+    std::vector<HoverCandidate> out;
+    for (int id = 0; id < grid.num_cells(); ++id) {
+        HoverCandidate c;
+        c.pos = grid.center(id);
+        c.cell_id = id;
+        for (const auto& d : inst.devices) {
+            if (geom::distance2(c.pos, d.pos) > r0 * r0) continue;
+            c.covered.push_back(d.id);
+            c.award_mb += d.data_mb;
+            c.dwell_s =
+                std::max(c.dwell_s, d.upload_time(inst.uav.bandwidth_mbps));
+        }
+        if (c.covered.empty() || (cfg.position_ok && !cfg.position_ok(c.pos))) {
+            continue;
+        }
+        c.hover_energy_j = c.dwell_s * inst.uav.hover_power_w;
+        out.push_back(std::move(c));
+    }
+    return out;
+}
+
+TEST(HoverCandidates, MatchesEveryCellBruteForce) {
+    std::vector<model::Instance> instances;
+    for (const std::uint64_t seed : {1U, 2U, 3U}) {
+        instances.push_back(small_instance(60, 300.0, seed));
+        workload::GeneratorConfig gen = workload::paper_default();
+        gen.num_devices = 80;
+        gen.region_w = 400.0;
+        gen.region_h = 250.0;
+        gen.deployment = workload::Deployment::kClustered;
+        gen.cluster_stddev = 30.0;
+        instances.push_back(workload::generate(gen, seed));
+    }
+    // Devices on the region's corners and edges; (105, 55) lies exactly
+    // R0 = 50 m along an axis from the delta = 10 centres (55, 55) and
+    // (105, 105).
+    instances.push_back(manual_instance({{{0.0, 0.0}, 120.0},
+                                         {{200.0, 200.0}, 480.0},
+                                         {{0.0, 137.0}, 300.0},
+                                         {{200.0, 61.5}, 950.0},
+                                         {{105.0, 55.0}, 700.0}}));
+    HoverCandidateConfig cfg;
+    cfg.dedupe_identical_coverage = false;
+    cfg.max_candidates = 0;
+    for (std::size_t k = 0; k < instances.size(); ++k) {
+        const auto& inst = instances[k];
+        const double mid_x = inst.region.center().x;
+        // 10 divides every region; 7 and 13 divide none.
+        for (const double delta : {10.0, 7.0, 13.0}) {
+            for (const int variant : {0, 1, 2, 3}) {
+                SCOPED_TRACE(::testing::Message()
+                             << "instance " << k << " delta " << delta
+                             << " variant " << variant);
+                cfg.delta_m = delta;
+                cfg.inflate_by_coverage = (variant & 1) != 0;
+                cfg.position_ok = nullptr;
+                if ((variant & 2) != 0) {
+                    cfg.position_ok = [mid_x](const geom::Vec2& p) {
+                        return p.x < mid_x;
+                    };
+                }
+                const auto want = scan_every_cell(inst, cfg);
+                const auto got = build_hover_candidates(inst, cfg);
+                ASSERT_EQ(got.size(), want.size());
+                EXPECT_EQ(got.nonzero_cells, static_cast<int>(want.size()));
+                for (std::size_t i = 0; i < want.size(); ++i) {
+                    const HoverCandidate& g = got.candidates[i];
+                    const HoverCandidate& w = want[i];
+                    EXPECT_EQ(g.cell_id, w.cell_id) << i;
+                    EXPECT_EQ(g.pos, w.pos) << i;
+                    EXPECT_EQ(g.covered, w.covered) << i;
+                    EXPECT_EQ(g.award_mb, w.award_mb) << i;
+                    EXPECT_EQ(g.dwell_s, w.dwell_s) << i;
+                    EXPECT_EQ(g.hover_energy_j, w.hover_energy_j) << i;
+                }
+            }
+        }
+    }
+}
+
+TEST(HoverCandidates, HugeSparseFieldBuildsFromDevices) {
+    // 5 devices on a 200 km square at delta = 5 m: 1.6e9 grid cells, of
+    // which only the few hundred around each device cover anything.
+    const auto inst = manual_instance({{{0.0, 0.0}, 200.0},
+                                       {{200000.0, 200000.0}, 400.0},
+                                       {{73000.0, 151000.0}, 600.0},
+                                       {{150000.0, 20000.0}, 800.0},
+                                       {{150030.0, 20010.0}, 1000.0}},
+                                      200000.0);
+    HoverCandidateConfig cfg;
+    cfg.delta_m = 5.0;
+    cfg.dedupe_identical_coverage = false;
+    cfg.max_candidates = 0;
+    const auto set = build_hover_candidates(inst, cfg);
+    EXPECT_EQ(set.grid_cells, 1'600'000'000);
+    const double per_device = inst.uav.coverage_radius_m / cfg.delta_m + 1.0;
+    EXPECT_GT(set.size(), 0u);
+    EXPECT_LE(static_cast<double>(set.size()),
+              5.0 * std::numbers::pi * per_device * per_device);
 }
 
 }  // namespace

@@ -69,12 +69,6 @@ TEST(PlanningContext, EnergyViewMatchesUavConfig) {
     EXPECT_FALSE(e.feasible(1e12, 0.0));
 }
 
-TEST(PlanningContext, DeviceIndexCoversAllDevices) {
-    const auto inst = testing::small_instance(30, 260.0, 14);
-    const PlanningContext ctx(inst);
-    EXPECT_EQ(ctx.device_index().size(), inst.devices.size());
-}
-
 TEST(PlanningContext, NodeDistanceMatchesGeometry) {
     const auto inst = testing::small_instance(25, 240.0, 15);
     const PlanningContext ctx(inst);

@@ -79,6 +79,11 @@ core::PlannerOptions fast_options() {
     return opts;
 }
 
+/// Planner options outside their valid range, each a bad request.
+const std::vector<std::pair<std::string, double>> kOutOfRangeOptions{
+    {"delta_m", 0.0},        {"delta_m", -5.0}, {"k", 0.0}, {"k", -2.0},
+    {"reduce_coarsen", 0.0}, {"reduce_consolidate", -4.0}};
+
 TEST(ServiceRequest, JsonRoundTrip) {
     const auto inst = uavdc::testing::small_instance(12, 200.0, 31);
     PlanRequest req = make_request("req-7", "alg3", inst);
@@ -147,6 +152,20 @@ TEST(ServiceRequest, MalformedRequestsThrow) {
 
     EXPECT_THROW((void)request_from_json(io::Json("not an object")),
                  std::runtime_error);
+
+    // Out-of-range planner options are bad requests naming the field.
+    for (const auto& [field, value] : kOutOfRangeOptions) {
+        io::Json req = ok;
+        req["options"][field] = value;
+        try {
+            (void)request_from_json(req);
+            ADD_FAILURE() << field << " = " << value << " was accepted";
+        } catch (const std::runtime_error& ex) {
+            EXPECT_NE(std::string(ex.what()).find("'" + field + "'"),
+                      std::string::npos)
+                << ex.what();
+        }
+    }
 
     // A retired scoring engine name is a structured bad request naming the
     // engines that exist.
@@ -794,6 +813,12 @@ TEST(ServiceJsonl, MalformedLinesGetErrorResponsesNotAborts) {
         retired_opts["scoring"] = "incremental-fast";
         retired["options"] = retired_opts;
         input << retired.dump() << "\n";
+        for (const auto& [field, value] : kOutOfRangeOptions) {
+            io::Json line = to_json(ok_req);
+            line["id"] = "range-" + field;
+            line["options"][field] = value;
+            input << line.dump() << "\n";
+        }
     }
 
     JsonlConfig cfg;
@@ -803,8 +828,8 @@ TEST(ServiceJsonl, MalformedLinesGetErrorResponsesNotAborts) {
     std::ostringstream out;
     const JsonlSummary summary = serve_jsonl(in, out, cfg);
 
-    EXPECT_EQ(summary.lines, 5u);
-    EXPECT_EQ(summary.parse_errors, 4u);
+    EXPECT_EQ(summary.lines, 11u);
+    EXPECT_EQ(summary.parse_errors, 10u);
     EXPECT_EQ(summary.requests, 1u);
 
     int bad = 0;
@@ -824,7 +849,7 @@ TEST(ServiceJsonl, MalformedLinesGetErrorResponsesNotAborts) {
             EXPECT_EQ(doc.string_or("id", ""), "ok1");
         }
     }
-    EXPECT_EQ(bad, 4);
+    EXPECT_EQ(bad, 10);
     EXPECT_EQ(ok, 1);
 }
 
