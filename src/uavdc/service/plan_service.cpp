@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <future>
+#include <tuple>
 #include <utility>
 
 #include "uavdc/core/planning_context.hpp"
@@ -254,6 +256,7 @@ io::Json to_json(const ServiceStats& stats) {
     io::Json cache;
     cache["hits"] = stats.cache_hits;
     cache["misses"] = stats.cache_misses;
+    cache["coalesced"] = stats.cache_coalesced;
     cache["entries"] = stats.cache_entries;
     cache["hit_rate"] = stats.cache_hit_rate();
     doc["cache"] = std::move(cache);
@@ -302,12 +305,10 @@ bool PlanService::submit(PlanRequest req, Callback cb) {
         ++counters_.submitted;
     }
     // Remember the inline instance before any shedding decision so that
-    // pipelined instance_ref requests behind this one stay resolvable.
-    if (req.instance) {
-        std::string ignored;
-        ResponseStatus ignored_status = ResponseStatus::kOk;
-        (void)resolve_instance(req, ignored, ignored_status);
-    }
+    // pipelined instance_ref requests behind this one stay resolvable; the
+    // worker reuses the resolution instead of walking the instance again.
+    std::optional<Resolved> resolved;
+    if (req.instance) resolved = resolve_instance(req);
 
     PlanResponse reject;
     reject.id = req.id;
@@ -316,7 +317,7 @@ bool PlanService::submit(PlanRequest req, Callback cb) {
         if (stopping_) {
             reject.status = ResponseStatus::kShutdown;
             reject.error = "service is shutting down";
-        } else if (queue_.size() >= cfg_.queue_capacity) {
+        } else if (queue_.size() + parked_ >= cfg_.queue_capacity) {
             reject.status = ResponseStatus::kOverloaded;
             reject.error =
                 "admission queue full (capacity " +
@@ -325,6 +326,7 @@ bool PlanService::submit(PlanRequest req, Callback cb) {
             Pending p;
             p.req = std::move(req);
             p.cb = std::move(cb);
+            p.resolved = std::move(resolved);
             p.admitted = now;
             p.has_deadline = p.req.deadline_ms > 0.0;
             if (p.has_deadline) {
@@ -422,47 +424,64 @@ void PlanService::run_one() {
     // a throwing user callback, whose exception vanishes into the pool's
     // unobserved future. Skipping the decrement would wedge
     // drain()/shutdown() (and the destructor) forever, so a scope guard
-    // decrements no matter how this frame exits.
+    // decrements no matter how this frame exits — unless the request
+    // parked, in which case its slot travels with it to the leader.
     struct InFlightGuard {
         PlanService* svc;
+        bool parked{false};
         ~InFlightGuard() {
-            std::lock_guard lock(svc->mu_);
-            --svc->in_flight_;
-            if (svc->queue_.empty() && svc->in_flight_ == 0) {
-                svc->drained_cv_.notify_all();
-            }
+            if (!parked) svc->release_in_flight();
         }
     } guard{this};
-    const auto start = Clock::now();
+    p.started = Clock::now();
 
-    PlanResponse resp;
-    if (p.has_deadline && start >= p.deadline) {
+    if (p.has_deadline && p.started >= p.deadline) {
+        PlanResponse resp;
         resp.status = ResponseStatus::kDeadlineExceeded;
         resp.error = "deadline expired after " +
-                     std::to_string(ms_between(p.admitted, start)) +
+                     std::to_string(ms_between(p.admitted, p.started)) +
                      " ms in queue";
-    } else {
-        resp = execute(p.req);
-        if (p.has_deadline && Clock::now() >= p.deadline &&
-            resp.status == ResponseStatus::kOk) {
-            // Cooperative timeout: the planner ran to completion past the
-            // deadline; hand back the finished plan flagged as late/partial.
-            resp.status = ResponseStatus::kDeadlineExceeded;
-            resp.partial = true;
-            resp.error = "deadline expired during planning";
-        }
-        note_latency(p.req.planner,
-                     std::chrono::duration<double>(Clock::now() - start)
-                         .count());
+        finish(std::move(resp), p);
+        return;
     }
-    finish(std::move(resp), p, start);
+    guard.parked = !serve(p);
 }
 
-void PlanService::finish(PlanResponse resp, const Pending& p,
-                         Clock::time_point start) {
+void PlanService::release_in_flight(bool parked) {
+    std::lock_guard lock(mu_);
+    --in_flight_;
+    if (parked) --parked_;
+    if (queue_.empty() && in_flight_ == 0) drained_cv_.notify_all();
+}
+
+void PlanService::reply(PlanResponse resp, const Pending& p,
+                        bool record_latency) {
+    if (!p.queued) {
+        resp.id = p.req.id;
+        p.cb(std::move(resp));
+        return;
+    }
+    if (record_latency) {
+        note_latency(p.req.planner,
+                     std::chrono::duration<double>(Clock::now() - p.started)
+                         .count());
+    }
+    finish(std::move(resp), p);
+}
+
+void PlanService::finish(PlanResponse resp, const Pending& p) {
+    const auto now = Clock::now();
+    if (p.has_deadline && now >= p.deadline &&
+        resp.status == ResponseStatus::kOk) {
+        // Cooperative timeout: the plan finished past the deadline; hand it
+        // back flagged as late/partial.
+        resp.status = ResponseStatus::kDeadlineExceeded;
+        resp.partial = true;
+        resp.error = "deadline expired during planning";
+    }
     resp.id = p.req.id;
-    resp.queue_ms = ms_between(p.admitted, start);
-    resp.exec_ms = ms_between(start, Clock::now());
+    resp.queue_ms = ms_between(p.admitted, p.started);
+    resp.exec_ms = ms_between(p.started, now);
     {
         std::lock_guard lock(stats_mu_);
         ++counters_.completed;
@@ -489,125 +508,248 @@ void PlanService::finish(PlanResponse resp, const Pending& p,
     p.cb(std::move(resp));
 }
 
-std::shared_ptr<const model::Instance> PlanService::resolve_instance(
-    const PlanRequest& req, std::string& error, ResponseStatus& status) {
+std::pair<std::shared_ptr<const PlanService::InstanceEntry>, bool>
+PlanService::register_instance(std::shared_ptr<const InstanceEntry> entry) {
+    std::lock_guard lock(inst_mu_);
+    const auto [it, inserted] = instances_.emplace(entry->fp, entry);
+    if (!inserted) return {it->second, false};
+    instance_order_.push_back(entry->fp);
+    while (instance_order_.size() > cfg_.instance_capacity) {
+        instances_.erase(instance_order_.front());
+        instance_order_.erase(instance_order_.begin());
+    }
+    return {std::move(entry), true};
+}
+
+PlanService::Resolved PlanService::resolve_instance(const PlanRequest& req) {
     if (req.instance) {
         const std::uint64_t fp =
             core::PlanningContext::instance_fingerprint(*req.instance);
-        std::shared_ptr<const model::Instance> inst;
-        bool inserted = false;
+        std::shared_ptr<const InstanceEntry> entry;
         {
             std::lock_guard lock(inst_mu_);
-            auto it = instances_.find(fp);
-            if (it != instances_.end()) {
-                // The 64-bit fingerprint alone would silently resolve a
-                // colliding instance to whatever was stored first — a wrong
-                // answer with no detection path. We hold the submitted
-                // content right here, so verify it (cheap next to planning)
-                // and fail loudly instead of planning the wrong instance.
-                if (!same_planning_content(*it->second, *req.instance)) {
-                    error = "instance fingerprint collision: inline instance "
-                            "hashes to " + fingerprint_to_hex(fp) +
-                            " but differs from the instance registered under "
-                            "that fingerprint";
-                    status = ResponseStatus::kInternalError;
-                    return nullptr;
-                }
-                inst = it->second;
-            } else {
-                inst = std::make_shared<const model::Instance>(*req.instance);
-                instances_.emplace(fp, inst);
-                instance_order_.push_back(fp);
-                while (instance_order_.size() > cfg_.instance_capacity) {
-                    instances_.erase(instance_order_.front());
-                    instance_order_.erase(instance_order_.begin());
-                }
-                inserted = true;
+            if (auto it = instances_.find(fp); it != instances_.end()) {
+                entry = it->second;
             }
+        }
+        bool inserted = false;
+        if (!entry) {
+            // Copy and hash outside inst_mu_; a racing registration of the
+            // same fingerprint wins and is verified below like any other.
+            std::tie(entry, inserted) =
+                register_instance(std::make_shared<const InstanceEntry>(
+                    InstanceEntry{*req.instance, fp,
+                                  instance_check_hash(*req.instance)}));
+        }
+        // The 64-bit fingerprint alone would silently resolve a colliding
+        // instance to whatever was stored first — a wrong answer with no
+        // detection path. We hold the submitted content right here, so
+        // verify it (cheap next to planning) and fail loudly instead of
+        // planning the wrong instance.
+        if (!inserted && !same_planning_content(entry->inst, *req.instance)) {
+            return {nullptr,
+                    "instance fingerprint collision: inline instance "
+                    "hashes to " + fingerprint_to_hex(fp) +
+                        " but differs from the instance registered under "
+                        "that fingerprint",
+                    ResponseStatus::kInternalError};
         }
         // Durability tap runs outside inst_mu_: the hook does file I/O and
         // must not serialize every concurrent instance lookup behind it.
         if (inserted && cfg_.store.on_instance) {
-            cfg_.store.on_instance(fp, *inst);
+            cfg_.store.on_instance(fp, entry->inst);
         }
-        return inst;
+        return {std::move(entry), {}, ResponseStatus::kOk};
     }
     if (req.instance_ref) {
         std::lock_guard lock(inst_mu_);
         auto it = instances_.find(*req.instance_ref);
-        if (it != instances_.end()) return it->second;
-        error = "unknown instance_ref '" +
-                fingerprint_to_hex(*req.instance_ref) +
-                "' (instances must be sent inline once before being "
-                "referenced)";
-        status = ResponseStatus::kBadRequest;
-        return nullptr;
+        if (it != instances_.end()) {
+            return {it->second, {}, ResponseStatus::kOk};
+        }
+        return {nullptr,
+                "unknown instance_ref '" +
+                    fingerprint_to_hex(*req.instance_ref) +
+                    "' (instances must be sent inline once before being "
+                    "referenced)"};
     }
-    error = "request carries neither an inline instance nor an instance_ref";
-    status = ResponseStatus::kBadRequest;
-    return nullptr;
+    return {nullptr,
+            "request carries neither an inline instance nor an instance_ref"};
 }
 
 PlanResponse PlanService::execute(const PlanRequest& req) {
+    // Shared, because a leader on another thread may still be inside
+    // set_value() when get() returns here.
+    auto answer = std::make_shared<std::promise<PlanResponse>>();
+    auto answered = answer->get_future();
+    Pending p;
+    p.req = req;
+    p.cb = [answer](PlanResponse resp) { answer->set_value(std::move(resp)); };
+    p.queued = false;
+    (void)serve(p);
+    return answered.get();
+}
+
+bool PlanService::serve(Pending& p) {
     PlanResponse resp;
-    resp.id = req.id;
-
-    std::string error;
-    ResponseStatus error_status = ResponseStatus::kBadRequest;
-    const auto inst = resolve_instance(req, error, error_status);
-    if (!inst) {
-        resp.status = error_status;
-        resp.error = error;
-        return resp;
+    const Resolved resolved =
+        p.resolved ? std::move(*p.resolved) : resolve_instance(p.req);
+    if (!resolved.entry) {
+        resp.status = resolved.status;
+        resp.error = resolved.error;
+        reply(std::move(resp), p, /*record_latency=*/true);
+        return true;
     }
-    if (!known_planner(req.planner)) {
+    if (!known_planner(p.req.planner)) {
         resp.status = ResponseStatus::kBadRequest;
-        resp.error = "unknown planner '" + req.planner + "'";
-        return resp;
+        resp.error = "unknown planner '" + p.req.planner + "'";
+        reply(std::move(resp), p, /*record_latency=*/true);
+        return true;
     }
-    const core::PlannerOptions opts = req.overrides.resolve(cfg_.defaults);
-    const std::uint64_t inst_fp =
-        core::PlanningContext::instance_fingerprint(*inst);
-    const std::uint64_t opts_fp = options_fingerprint(req.planner, opts);
-    const std::string canon = canonical_options(req.planner, opts);
-    const std::uint64_t check = instance_check_hash(*inst);
+    const InstanceEntry& inst = *resolved.entry;
+    const core::PlannerOptions opts = p.req.overrides.resolve(cfg_.defaults);
+    const std::uint64_t opts_fp = options_fingerprint(p.req.planner, opts);
+    const std::string canon = canonical_options(p.req.planner, opts);
+    const bool copy_tree = !cfg_.wire_only_hits;
 
-    if (auto hit = cache_.get(inst_fp, opts_fp, canon, check,
-                              /*copy_tree=*/!cfg_.wire_only_hits);
-        hit.found) {
+    auto hit = cache_.get(inst.fp, opts_fp, canon, inst.check, copy_tree);
+    if (hit.found) {
         resp.cache_hit = true;
         resp.result = std::move(hit.result);
         resp.result_wire = std::move(hit.wire);
-        return resp;
+        reply(std::move(resp), p, /*record_latency=*/true);
+        return true;
+    }
+    std::list<Flight>::iterator flight;
+    {
+        std::lock_guard lock(flight_mu_);
+        const auto in_flight = std::find_if(
+            flights_.begin(), flights_.end(), [&](const Flight& f) {
+                return f.key_hi == inst.fp && f.key_lo == opts_fp &&
+                       f.instance_check == inst.check &&
+                       f.options_canon == canon;
+            });
+        if (in_flight != flights_.end()) {
+            if (p.queued) {
+                // The request left the queue but still counts against
+                // admission until its leader answers it.
+                std::lock_guard qlock(mu_);
+                ++parked_;
+            }
+            in_flight->waiters.push_back(std::move(p));
+            ++coalesced_;
+            return false;
+        }
+        flight = flights_.insert(
+            flights_.end(), Flight{inst.fp, opts_fp, canon, inst.check, {}});
     }
 
+    // Lead. A leader that stored this key and removed its flight between
+    // the lookup above and the flight lookup must not make us plan it a
+    // second time, so look once more; the copy of a found tree runs outside
+    // flight_mu_. Whatever happens, the flight is closed below.
     try {
-        auto planner = core::make_planner(req.planner, opts);
+        hit = cache_.get(inst.fp, opts_fp, canon, inst.check, copy_tree);
+        if (hit.found) {
+            resp.cache_hit = true;
+            resp.result = std::move(hit.result);
+            resp.result_wire = std::move(hit.wire);
+        } else {
+            {
+                std::lock_guard lock(flight_mu_);
+                ++plans_started_;
+            }
+            resp = plan_miss(p.req.planner, opts, inst, opts_fp, canon);
+        }
+    } catch (...) {
+        resp = PlanResponse{};
+        resp.status = ResponseStatus::kInternalError;
+        resp.error = "internal failure while leading a plan";
+    }
+    std::vector<Pending> waiters;
+    {
+        std::lock_guard lock(flight_mu_);
+        waiters = std::move(flight->waiters);
+        flights_.erase(flight);
+    }
+    for (const Pending& w : waiters) {
+        // A failure answering one waiter must not cost the others their
+        // answer; its exception is dropped, as the pool drops the exception
+        // of a sink a worker calls.
+        try {
+            answer_parked(resp, w);
+        } catch (...) {  // NOLINT(bugprone-empty-catch): dropped, see above
+        }
+    }
+    reply(std::move(resp), p, /*record_latency=*/true);
+    return true;
+}
+
+void PlanService::answer_parked(const PlanResponse& led, const Pending& w) {
+    // The waiter's in-flight slot and admission share go back however this
+    // frame exits.
+    struct Release {
+        PlanService* svc;
+        bool queued;
+        ~Release() {
+            if (queued) svc->release_in_flight(/*parked=*/true);
+        }
+    } release{this, w.queued};
+    PlanResponse shared;
+    try {
+        shared.status = led.status;
+        shared.error = led.error;
+        if (!cfg_.wire_only_hits) shared.result = led.result;
+        shared.result_wire = led.result_wire;
+    } catch (...) {
+        shared = PlanResponse{};
+        shared.status = ResponseStatus::kInternalError;
+        shared.error = "could not copy the leader's plan";
+    }
+    reply(std::move(shared), w, /*record_latency=*/false);
+}
+
+PlanResponse PlanService::plan_miss(const std::string& planner_name,
+                                    const core::PlannerOptions& opts,
+                                    const InstanceEntry& inst,
+                                    std::uint64_t opts_fp,
+                                    const std::string& canon) {
+    PlanResponse resp;
+    try {
+        auto planner = core::make_planner(planner_name, opts);
         const auto ctx =
-            core::PlanningContext::obtain(*inst, opts.hover_config());
+            core::PlanningContext::obtain(inst.inst, opts.hover_config());
         auto res = planner->plan(*ctx);
         io::Json result;
-        result["instance_fingerprint"] = fingerprint_to_hex(inst_fp);
+        result["instance_fingerprint"] = fingerprint_to_hex(inst.fp);
         result["planner"] = planner->name();
         result["plan"] = io::to_json(res.plan);
         result["stats"] = stats_to_json(res.stats);
         resp.result = result;
-        // A concurrent miss on the same key may have stored its result
-        // first; answer with that one so every reply carries the same bytes.
+        // A repository replay may have stored this key first; answer with
+        // that result so every reply carries the same bytes.
         ResponseCache::Hit existing;
-        resp.result_wire = cache_.put(inst_fp, opts_fp, canon, check,
+        resp.result_wire = cache_.put(inst.fp, opts_fp, canon, inst.check,
                                       std::move(result), &existing);
         if (existing.found) {
             resp.result = std::move(existing.result);
         } else if (cfg_.store.on_response) {
-            cfg_.store.on_response(inst_fp, opts_fp, canon, check,
+            cfg_.store.on_response(inst.fp, opts_fp, canon, inst.check,
                                    resp.result);
         }
     } catch (const std::exception& ex) {
         resp.status = ResponseStatus::kInternalError;
-        resp.error = std::string("planner '") + req.planner +
+        resp.error = std::string("planner '") + planner_name +
                      "' failed: " + ex.what();
         resp.result = io::Json();
+        resp.result_wire = nullptr;
+    } catch (...) {
+        // Parked requests wait on this answer; nothing may escape unanswered.
+        resp.status = ResponseStatus::kInternalError;
+        resp.error = std::string("planner '") + planner_name +
+                     "' failed: unknown exception";
+        resp.result = io::Json();
+        resp.result_wire = nullptr;
     }
     return resp;
 }
@@ -615,14 +757,8 @@ PlanResponse PlanService::execute(const PlanRequest& req) {
 void PlanService::preload_instance(const model::Instance& inst) {
     const std::uint64_t fp =
         core::PlanningContext::instance_fingerprint(inst);
-    std::lock_guard lock(inst_mu_);
-    if (instances_.count(fp) != 0) return;
-    instances_.emplace(fp, std::make_shared<const model::Instance>(inst));
-    instance_order_.push_back(fp);
-    while (instance_order_.size() > cfg_.instance_capacity) {
-        instances_.erase(instance_order_.front());
-        instance_order_.erase(instance_order_.begin());
-    }
+    (void)register_instance(std::make_shared<const InstanceEntry>(
+        InstanceEntry{inst, fp, instance_check_hash(inst)}));
 }
 
 void PlanService::preload_response(std::uint64_t key_hi, std::uint64_t key_lo,
@@ -669,8 +805,12 @@ ServiceStats PlanService::stats() const {
         }
     }
     out.cache_hits = cache_.hits();
-    out.cache_misses = cache_.misses();
     out.cache_entries = cache_.size();
+    {
+        std::lock_guard lock(flight_mu_);
+        out.cache_misses = plans_started_;
+        out.cache_coalesced = coalesced_;
+    }
     {
         std::lock_guard lock(mu_);
         out.queue_depth = queue_.size();

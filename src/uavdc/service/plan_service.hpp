@@ -4,10 +4,13 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "uavdc/core/metrics.hpp"
@@ -30,7 +33,9 @@ struct PlannerLatency {
 /// Reconciliation invariants: `completed == ok + rejected_overload +
 /// rejected_bad_request + rejected_shutdown + deadline_exceeded +
 /// internal_errors` at all times, and `submitted == completed` once the
-/// service has drained.
+/// service has drained. Every response-cache lookup ends in exactly one of
+/// `cache_hits`, `cache_misses` or `cache_coalesced`, so their sum is the
+/// number of lookups and `cache_misses` is the number of plans started.
 struct ServiceStats {
     std::uint64_t submitted{0};         ///< submit() calls
     std::uint64_t admitted{0};          ///< accepted into the queue
@@ -43,16 +48,21 @@ struct ServiceStats {
     std::uint64_t deadline_exceeded{0};
     std::uint64_t internal_errors{0};
     std::uint64_t cache_hits{0};
-    std::uint64_t cache_misses{0};
+    std::uint64_t cache_misses{0};      ///< lookups that started a plan
+    std::uint64_t cache_coalesced{0};   ///< lookups parked on the in-flight
+                                        ///< plan of the same key
     std::size_t cache_entries{0};       ///< responses cached right now
     std::size_t queue_depth{0};         ///< requests waiting right now
-    std::size_t in_flight{0};           ///< requests executing right now
+    std::size_t in_flight{0};           ///< requests executing or parked
+                                        ///< right now
     std::size_t workers{0};
     /// Keyed by planner name; execution latency only (queue time excluded).
+    /// Parked requests record none: they did not plan.
     std::map<std::string, PlannerLatency> latency;
 
+    /// Share of lookups answered straight from the response cache.
     [[nodiscard]] double cache_hit_rate() const {
-        const auto total = cache_hits + cache_misses;
+        const auto total = cache_hits + cache_misses + cache_coalesced;
         return total ? static_cast<double>(cache_hits) /
                            static_cast<double>(total)
                      : 0.0;
@@ -84,8 +94,8 @@ struct ServiceStats {
 /// `get` answers a hit only when all four match, and counts anything less
 /// as a miss (the subsequent `put` then stores the new payload under the
 /// same key, ahead of the colliding entry in MRU order). `put` is
-/// put-if-absent, so workers that miss the same key at once all answer
-/// with the first stored result.
+/// put-if-absent, so a result stored twice for one key (a repository
+/// replay racing a live plan) answers with the first one.
 class ResponseCache {
   public:
     explicit ResponseCache(std::size_t capacity) : capacity_(capacity) {}
@@ -148,29 +158,38 @@ class ResponseCache {
 ///   submit() -> [REJECTED overloaded|bad ref later|shutdown]
 ///            -> ADMITTED (bounded queue, priority desc then FIFO)
 ///            -> RUNNING on a util::ThreadPool worker
+///            -> [PARKED on the in-flight plan of its cache key; the
+///                worker goes back to the queue]
 ///            -> DONE (ok | deadline_exceeded | bad_request |
 ///                     internal_error), callback invoked exactly once.
 ///
-/// Backpressure: admission is a hard bound — when the queue holds
-/// `queue_capacity` requests, submit() answers `overloaded` immediately
+/// Backpressure: admission is a hard bound — when the queue and the parked
+/// requests together hold `queue_capacity` requests, submit() answers
+/// `overloaded` immediately
 /// (on the caller's thread) instead of buffering without limit; the caller
 /// retries or sheds load.
 ///
 /// Deadlines are cooperative: a request whose deadline passes while queued
 /// is answered `deadline_exceeded` without planning; one that finishes
-/// planning past its deadline is answered `deadline_exceeded` with
-/// `partial = true` and the finished plan attached (planners are not
-/// preempted mid-run).
+/// planning (or waiting while parked) past its deadline is answered
+/// `deadline_exceeded` with `partial = true` and the finished plan attached
+/// (planners are not preempted mid-run).
 ///
 /// Duplicate suppression: responses are cached by (instance fingerprint,
 /// planner, resolved options). A hit returns the byte-identical `result`
-/// payload of the original run without replanning. Planning itself runs
-/// against the process-wide `PlanningContext` LRU, so even cache *misses*
-/// on a known instance skip the candidate precompute.
+/// payload of the original run without replanning. Planning is
+/// single-flight per cache key: the first miss leads and plans; a miss on
+/// a key whose plan is in flight parks on it, and the leader answers every
+/// parked request with its own result wire (or its `internal_error`, after
+/// which the key plans afresh). Planning itself runs against the
+/// process-wide `PlanningContext` LRU, so even a leader on a known instance
+/// skips the candidate precompute. Each registered instance carries both
+/// of its content hashes, computed once at registration.
 ///
 /// Thread safety: submit/drain/stats/shutdown may be called from any
 /// thread. Callbacks run on worker threads (or on the submitting thread
-/// for admission rejections) and must synchronize their own sinks.
+/// for admission rejections, or on the thread of an execute() call that
+/// led the plan a request parked on) and must synchronize their own sinks.
 class PlanService {
   public:
     /// Durability taps: invoked (outside the service's locks, possibly from
@@ -197,11 +216,12 @@ class PlanService {
         std::size_t instance_capacity = 256;  ///< fingerprint registry bound
         core::PlannerOptions defaults;  ///< base options requests override
         StoreHooks store;               ///< durability taps (may be empty)
-        /// Cache hits carry only `result_wire` (the pre-serialized result)
-        /// and leave `PlanResponse::result` null, skipping the deep copy of
-        /// the plan tree per hit. Transports that serialize exclusively via
-        /// `response_line` (TCP server, router, JSONL) enable this; leave
-        /// false when callbacks inspect `result` directly.
+        /// Cache hits and parked requests carry only `result_wire` (the
+        /// pre-serialized result) and leave `PlanResponse::result` null,
+        /// skipping the deep copy of the plan tree per reply. Transports
+        /// that serialize exclusively via `response_line` (TCP server,
+        /// router, JSONL) enable this; leave false when callbacks inspect
+        /// `result` directly.
         bool wire_only_hits = false;
     };
 
@@ -226,8 +246,10 @@ class PlanService {
     /// when this request itself is shed.
     bool submit(PlanRequest req, Callback cb);
 
-    /// Synchronous execution (no admission queue, no deadline): resolve,
-    /// plan, cache. Workers call this; tests use it as the reference path.
+    /// Synchronous execution (no admission queue, no deadline, no service
+    /// counters): resolve, look up, plan, cache — the same single-flight
+    /// path the workers take, so a miss on a key in flight blocks the
+    /// calling thread until its leader answers.
     [[nodiscard]] PlanResponse execute(const PlanRequest& req);
 
     /// Replay-from-repository entry points: identical bookkeeping to a live
@@ -253,26 +275,76 @@ class PlanService {
   private:
     using Clock = std::chrono::steady_clock;
 
+    /// One registered instance with both of its content hashes, computed
+    /// once at registration and dropped with the instance on eviction.
+    struct InstanceEntry {
+        model::Instance inst;
+        std::uint64_t fp{0};     ///< PlanningContext::instance_fingerprint
+        std::uint64_t check{0};  ///< instance_check_hash
+    };
+
+    /// A request's registry entry, or the error to answer it with
+    /// (`bad_request` for client mistakes, `internal_error` for a detected
+    /// fingerprint collision in the registry).
+    struct Resolved {
+        std::shared_ptr<const InstanceEntry> entry;
+        std::string error;
+        ResponseStatus status{ResponseStatus::kBadRequest};
+    };
+
     struct Pending {
         PlanRequest req;
         Callback cb;
         Clock::time_point admitted;
+        Clock::time_point started;   ///< taken off the queue by a worker
         Clock::time_point deadline;  ///< admitted + deadline_ms
         bool has_deadline{false};
+        /// false: an execute() call, answered straight through `cb` with
+        /// no service counters, latency or in-flight slot.
+        bool queued{true};
         std::uint64_t seq{0};
+        /// An inline instance, resolved once by submit().
+        std::optional<Resolved> resolved;
+    };
+
+    /// A response-cache key whose plan is running, and the requests parked
+    /// on it. Its leader removes it once the plan is done.
+    struct Flight {
+        std::uint64_t key_hi;
+        std::uint64_t key_lo;
+        std::string options_canon;
+        std::uint64_t instance_check;
+        std::vector<Pending> waiters;
     };
 
     /// Max-heap order: priority desc, then seq asc (FIFO within a class).
     static bool heap_less(const Pending& a, const Pending& b);
 
     void run_one();
-    void finish(PlanResponse resp, const Pending& p, Clock::time_point start);
-    /// Resolve the request's instance (inline or by fingerprint ref).
-    /// On failure returns nullptr with `error` and `status` filled
-    /// (`bad_request` for client mistakes, `internal_error` for a detected
-    /// fingerprint collision in the registry).
-    [[nodiscard]] std::shared_ptr<const model::Instance> resolve_instance(
-        const PlanRequest& req, std::string& error, ResponseStatus& status);
+    /// The one lookup-and-plan path of execute() and the workers. Answers
+    /// `p`, or moves it onto the in-flight plan of its key and returns
+    /// false; that plan's leader answers it and frees its in-flight slot.
+    bool serve(Pending& p);
+    /// Plan a miss and offer the result to the cache; a planner failure
+    /// becomes `internal_error`.
+    [[nodiscard]] PlanResponse plan_miss(const std::string& planner_name,
+                                         const core::PlannerOptions& opts,
+                                         const InstanceEntry& inst,
+                                         std::uint64_t opts_fp,
+                                         const std::string& canon);
+    /// Deliver `resp` to `p`: through finish() for a queued request (after
+    /// recording its execution latency if asked), straight to `cb`
+    /// otherwise.
+    void reply(PlanResponse resp, const Pending& p, bool record_latency);
+    void finish(PlanResponse resp, const Pending& p);
+    /// Answer a request parked on the flight `led` answers.
+    void answer_parked(const PlanResponse& led, const Pending& w);
+    void release_in_flight(bool parked = false);
+    [[nodiscard]] Resolved resolve_instance(const PlanRequest& req);
+    /// Insert unless the fingerprint is registered; returns the registered
+    /// entry and whether it is `entry`.
+    std::pair<std::shared_ptr<const InstanceEntry>, bool> register_instance(
+        std::shared_ptr<const InstanceEntry> entry);
     void note_latency(const std::string& planner, double seconds);
 
     Config cfg_;
@@ -283,19 +355,30 @@ class PlanService {
     std::condition_variable drained_cv_;
     std::vector<Pending> queue_;  ///< heap via std::push_heap/pop_heap
     std::size_t in_flight_{0};
+    /// Queued requests parked on a flight; they count against admission.
+    /// Taken under flight_mu_ when a request parks (lock order: flight_mu_,
+    /// then mu_).
+    std::size_t parked_{0};
     std::uint64_t next_seq_{0};
     bool stopping_{false};
 
-    // Instance registry: fingerprint -> instance, bounded FIFO eviction.
+    // Instance registry: fingerprint -> entry, bounded FIFO eviction.
     mutable std::mutex inst_mu_;
-    std::map<std::uint64_t, std::shared_ptr<const model::Instance>>
-        instances_;
+    std::map<std::uint64_t, std::shared_ptr<const InstanceEntry>> instances_;
     std::vector<std::uint64_t> instance_order_;
 
     // Response cache: (instance fp, planner+options fp) -> result payload,
     // with the canonical options encoding and an independent instance check
     // hash verified on every hit (see ResponseCache).
     ResponseCache cache_{cfg_.response_cache_capacity};
+
+    // Single-flight: one Flight per key being planned (at most one per
+    // running leader, so a linear scan), plus the lookup outcomes the cache
+    // cannot count itself.
+    mutable std::mutex flight_mu_;
+    std::list<Flight> flights_;
+    std::uint64_t plans_started_{0};
+    std::uint64_t coalesced_{0};
 
     // Counters + per-planner latency histograms.
     mutable std::mutex stats_mu_;

@@ -329,12 +329,14 @@ TEST(Service, ConcurrentResponsesBitIdenticalToSerialExecution) {
     }
 }
 
-// Workers that miss the same key at once must all answer with the first
-// stored result: N byte-identical wires, one cache entry, and one record
-// for the repository. Rounds repeat until two misses actually overlapped.
+// Workers that miss the same key at once plan it once: the first miss leads,
+// the rest park on its flight or hit its stored result. N byte-identical
+// wires, one plan, one cache entry and one record for the repository in
+// every round, and at least one request actually parked over all rounds.
 TEST(Service, ConcurrentDuplicateMissesReplyWithFirstStoredResult) {
     const auto inst = uavdc::testing::small_instance(60, 400.0, 83);
     constexpr std::size_t kRequests = 8;
+    std::uint64_t coalesced = 0;
     for (int round = 0; round < 20; ++round) {
         PlanService::Config cfg;
         cfg.workers = 4;
@@ -363,9 +365,366 @@ TEST(Service, ConcurrentDuplicateMissesReplyWithFirstStoredResult) {
         for (const auto& w : wires) EXPECT_EQ(w, wires.front());
         EXPECT_EQ(stats.cache_entries, 1u);
         EXPECT_EQ(stored.load(), 1);
-        if (::testing::Test::HasFailure() || stats.cache_misses >= 2) return;
+        EXPECT_EQ(stats.cache_misses, 1u) << "round " << round;
+        EXPECT_EQ(stats.cache_hits + stats.cache_misses +
+                      stats.cache_coalesced,
+                  kRequests);
+        if (::testing::Test::HasFailure()) return;
+        coalesced += stats.cache_coalesced;
     }
-    FAIL() << "no two workers missed the same key at once in 20 rounds";
+    EXPECT_GE(coalesced, 1u)
+        << "no request parked on an in-flight plan in 20 rounds";
+}
+
+// A planner that fails after admission answers every request parked on its
+// flight with the leader's internal_error and leaves nothing behind: the next
+// request on the key plans (and fails) afresh. alg1's exact solver refuses
+// more than 22 nodes only after the candidate set is built, which leaves the
+// duplicates time to park; each round uses a fresh instance so that build is
+// never served from the context cache.
+TEST(Service, PlannerFailureWakesParkedWaitersWithLeaderError) {
+    constexpr std::size_t kRequests = 8;
+    std::uint64_t coalesced = 0;
+    for (int round = 0; round < 20 && coalesced == 0; ++round) {
+        const auto inst = uavdc::testing::small_instance(
+            150, 700.0, 500 + static_cast<std::uint64_t>(round));
+        PlanService::Config cfg;
+        cfg.workers = 4;
+        cfg.defaults = fast_options();
+        cfg.defaults.delta_m = 5.0;
+        cfg.defaults.solver = orienteering::SolverKind::kExact;
+        PlanService svc(cfg);
+        std::mutex mu;
+        std::vector<PlanResponse> responses;
+        const auto collect = [&](PlanResponse resp) {
+            std::lock_guard lock(mu);
+            responses.push_back(std::move(resp));
+        };
+        for (std::size_t i = 0; i < kRequests; ++i) {
+            svc.submit(make_request("f#" + std::to_string(i), "alg1", inst),
+                       collect);
+        }
+        svc.drain();
+        const ServiceStats stats = svc.stats();
+        ASSERT_EQ(responses.size(), kRequests);
+        for (const auto& r : responses) {
+            EXPECT_EQ(r.status, ResponseStatus::kInternalError) << r.id;
+            EXPECT_NE(r.error.find("planner 'alg1' failed"),
+                      std::string::npos)
+                << r.error;
+            EXPECT_TRUE(r.result.is_null());
+            EXPECT_EQ(r.result_wire, nullptr);
+        }
+        EXPECT_EQ(stats.cache_entries, 0u);
+        EXPECT_EQ(stats.cache_hits, 0u);
+        EXPECT_EQ(stats.cache_misses + stats.cache_coalesced, kRequests);
+        EXPECT_EQ(stats.internal_errors, kRequests);
+        EXPECT_EQ(stats.completed, stats.submitted);
+        if (::testing::Test::HasFailure()) return;
+        coalesced = stats.cache_coalesced;
+        if (coalesced == 0) continue;
+        // Waiters carry the leader's error verbatim.
+        for (const auto& r : responses) {
+            EXPECT_EQ(r.error, responses.front().error);
+        }
+        const PlanResponse again =
+            svc.execute(make_request("again", "alg1", inst));
+        EXPECT_EQ(again.status, ResponseStatus::kInternalError);
+        EXPECT_EQ(svc.stats().cache_misses, stats.cache_misses + 1)
+            << "the failed key must plan again, not park on a stale flight";
+        EXPECT_EQ(svc.stats().cache_coalesced, coalesced);
+    }
+    EXPECT_GE(coalesced, 1u)
+        << "no request parked on a failing plan in 20 rounds";
+}
+
+/// A plan long enough (tens of ms) that duplicates submitted right after it
+/// park on its flight before it stores its result.
+model::Instance slow_instance() {
+    return uavdc::testing::small_instance(400, 1000.0, 91, 1.0e6);
+}
+
+core::PlannerOptions slow_options() {
+    core::PlannerOptions opts = fast_options();
+    opts.delta_m = 10.0;
+    return opts;
+}
+
+/// Holds a leader inside its flight once it has planned: `on_response`
+/// runs after the result is stored and before the parked requests are
+/// answered, so blocking it keeps them parked until `open()`. The wait is
+/// bounded so a failed expectation cannot hang the test.
+struct FlightGate {
+    std::promise<void> entered;
+    std::promise<void> release;
+    std::shared_future<void> released{release.get_future().share()};
+    std::atomic<bool> first{true};
+
+    void hold(PlanService::Config& cfg) {
+        cfg.store.on_response = [this](std::uint64_t, std::uint64_t,
+                                       const std::string&, std::uint64_t,
+                                       const io::Json&) {
+            if (first.exchange(false)) entered.set_value();
+            released.wait_for(std::chrono::seconds(30));
+        };
+    }
+    void open() { release.set_value(); }
+};
+
+bool wait_for_coalesced(const PlanService& svc, std::uint64_t n) {
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (svc.stats().cache_coalesced < n) {
+        if (std::chrono::steady_clock::now() > until) return false;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return true;
+}
+
+// Whichever of the two requests leads, the one with the deadline is still
+// waiting (parked, or held in the leader's store tap) when its deadline
+// passes: it gets the shared plan flagged partial and is counted once.
+TEST(Service, WaiterPastItsDeadlineGetsTheLeadersPlanAsPartial) {
+    const auto inst = slow_instance();
+    PlanService::Config cfg;
+    cfg.workers = 2;
+    cfg.defaults = slow_options();
+    FlightGate gate;
+    gate.hold(cfg);
+    PlanService svc(cfg);
+
+    std::mutex mu;
+    std::map<std::string, std::vector<PlanResponse>> answers;
+    const auto collect = [&](PlanResponse resp) {
+        std::lock_guard lock(mu);
+        answers[resp.id].push_back(std::move(resp));
+    };
+    svc.submit(make_request("on-time", "alg2", inst), collect);
+    PlanRequest late = make_request("late", "alg2", inst);
+    late.deadline_ms = 200.0;
+    svc.submit(std::move(late), collect);
+    const bool parked = wait_for_coalesced(svc, 1);
+    gate.entered.get_future().wait();
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    gate.open();
+    svc.drain();
+    ASSERT_TRUE(parked);
+
+    std::lock_guard lock(mu);
+    ASSERT_EQ(answers["on-time"].size(), 1u);
+    ASSERT_EQ(answers["late"].size(), 1u);
+    const PlanResponse& on_time = answers["on-time"].front();
+    const PlanResponse& late_resp = answers["late"].front();
+    ASSERT_EQ(on_time.status, ResponseStatus::kOk) << on_time.error;
+    EXPECT_EQ(late_resp.status, ResponseStatus::kDeadlineExceeded);
+    EXPECT_TRUE(late_resp.partial);
+    EXPECT_FALSE(late_resp.cache_hit);
+    EXPECT_NE(late_resp.error.find("deadline"), std::string::npos);
+    ASSERT_NE(late_resp.result_wire, nullptr);
+    EXPECT_EQ(*late_resp.result_wire, *on_time.result_wire);
+    EXPECT_EQ(late_resp.result.dump(), on_time.result.dump());
+    EXPECT_GE(late_resp.exec_ms, 200.0);
+
+    const ServiceStats stats = svc.stats();
+    EXPECT_EQ(stats.submitted, 2u);
+    EXPECT_EQ(stats.completed, 2u);
+    EXPECT_EQ(stats.ok, 1u);
+    EXPECT_EQ(stats.deadline_exceeded, 1u);
+    EXPECT_EQ(stats.cache_misses, 1u);
+    EXPECT_EQ(stats.cache_coalesced, 1u);
+    // Only the leader planned, so only it records planner latency.
+    ASSERT_TRUE(stats.latency.count("alg2"));
+    EXPECT_EQ(stats.latency.at("alg2").count, 1u);
+}
+
+// Parked requests hold their in-flight slot until the leader answers them.
+// With the leader on an execute() call, they are the only admitted work the
+// service knows of, so drain() and shutdown() must wait for them.
+TEST(Service, DrainAndShutdownWaitForParkedWaiters) {
+    for (const bool stop : {false, true}) {
+        const auto inst = slow_instance();
+        PlanService::Config cfg;
+        cfg.workers = 4;
+        cfg.defaults = slow_options();
+        FlightGate gate;
+        gate.hold(cfg);
+        PlanService svc(cfg);
+
+        auto leader = std::async(std::launch::async, [&] {
+            return svc.execute(make_request("leader", "alg2", inst));
+        });
+        // Let the execute() call register its flight first.
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        constexpr std::uint64_t kWaiters = 6;
+        std::atomic<std::uint64_t> answered{0};
+        for (std::uint64_t i = 0; i < kWaiters; ++i) {
+            svc.submit(make_request("w" + std::to_string(i), "alg2", inst),
+                       [&](PlanResponse resp) {
+                           EXPECT_EQ(resp.status, ResponseStatus::kOk)
+                               << resp.error;
+                           ++answered;
+                       });
+        }
+        const bool parked = wait_for_coalesced(svc, kWaiters);
+        gate.entered.get_future().wait();
+        auto barrier = std::async(std::launch::async, [&] {
+            if (stop) {
+                svc.shutdown();
+            } else {
+                svc.drain();
+            }
+            return answered.load();
+        });
+        EXPECT_EQ(barrier.wait_for(std::chrono::milliseconds(50)),
+                  std::future_status::timeout)
+            << (stop ? "shutdown" : "drain")
+            << " returned with requests still parked";
+        gate.open();
+        EXPECT_EQ(barrier.get(), kWaiters);
+        EXPECT_EQ(leader.get().status, ResponseStatus::kOk);
+        ASSERT_TRUE(parked);
+        const ServiceStats stats = svc.stats();
+        EXPECT_EQ(stats.submitted, kWaiters);
+        EXPECT_EQ(stats.completed, stats.submitted);
+        EXPECT_EQ(stats.in_flight, 0u);
+        EXPECT_EQ(stats.cache_misses, 1u);
+        EXPECT_EQ(stats.cache_coalesced, kWaiters);
+    }
+}
+
+// A parked request has left the queue but still counts against admission:
+// while a leader holds its flight, at most `queue_capacity` duplicates are
+// taken in, and the rest are answered `overloaded` on the caller's thread.
+TEST(Service, ParkedRequestsCountAgainstTheAdmissionBound) {
+    const auto inst = slow_instance();
+    constexpr std::size_t kCapacity = 3;
+    constexpr std::size_t kExcess = 5;
+    PlanService::Config cfg;
+    cfg.workers = 4;
+    cfg.queue_capacity = kCapacity;
+    cfg.defaults = slow_options();
+    FlightGate gate;
+    gate.hold(cfg);
+    PlanService svc(cfg);
+
+    auto leader = std::async(std::launch::async, [&] {
+        return svc.execute(make_request("leader", "alg2", inst));
+    });
+    // The execute() call leads once it has started the plan.
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (svc.stats().cache_misses < 1 &&
+           std::chrono::steady_clock::now() < until) {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    std::mutex mu;
+    std::vector<PlanResponse> responses;
+    const auto collect = [&](PlanResponse resp) {
+        std::lock_guard lock(mu);
+        responses.push_back(std::move(resp));
+    };
+    for (std::size_t i = 0; i < kCapacity; ++i) {
+        EXPECT_TRUE(svc.submit(
+            make_request("p" + std::to_string(i), "alg2", inst), collect));
+    }
+    const bool parked = wait_for_coalesced(svc, kCapacity);
+    for (std::size_t i = 0; i < kExcess; ++i) {
+        EXPECT_FALSE(svc.submit(
+            make_request("x" + std::to_string(i), "alg2", inst), collect));
+    }
+    gate.open();
+    EXPECT_EQ(leader.get().status, ResponseStatus::kOk);
+    svc.drain();
+    ASSERT_TRUE(parked);
+
+    std::size_t ok = 0;
+    std::size_t overloaded = 0;
+    for (const auto& r : responses) {
+        if (r.status == ResponseStatus::kOk) {
+            EXPECT_EQ(r.id.front(), 'p') << r.id;
+            ++ok;
+        } else {
+            EXPECT_EQ(r.status, ResponseStatus::kOverloaded) << r.id;
+            EXPECT_EQ(r.id.front(), 'x') << r.id;
+            ++overloaded;
+        }
+    }
+    EXPECT_EQ(ok, kCapacity);
+    EXPECT_EQ(overloaded, kExcess);
+    const ServiceStats stats = svc.stats();
+    EXPECT_EQ(stats.rejected_overload, kExcess);
+    EXPECT_EQ(stats.completed, stats.submitted);
+    EXPECT_EQ(stats.cache_misses, 1u);
+    EXPECT_EQ(stats.cache_coalesced, kCapacity);
+
+    // Answered waiters give their share back: the key is now a hit.
+    std::promise<PlanResponse> after;
+    EXPECT_TRUE(svc.submit(make_request("after", "alg2", inst),
+                           [&](PlanResponse resp) {
+                               after.set_value(std::move(resp));
+                           }));
+    EXPECT_EQ(after.get_future().get().status, ResponseStatus::kOk);
+}
+
+// execute() takes the workers' miss path: a synchronous call on a key a
+// queued request is planning parks on that plan instead of planning again.
+TEST(Service, ExecuteJoinsTheInFlightPlanOfAQueuedRequest) {
+    const auto inst = slow_instance();
+    PlanService::Config cfg;
+    cfg.workers = 1;
+    cfg.defaults = slow_options();
+    PlanService svc(cfg);
+
+    std::promise<PlanResponse> queued;
+    svc.submit(make_request("queued", "alg2", inst), [&](PlanResponse resp) {
+        queued.set_value(std::move(resp));
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    const PlanResponse direct =
+        svc.execute(make_request("direct", "alg2", inst));
+    const PlanResponse first = queued.get_future().get();
+    svc.drain();
+
+    ASSERT_EQ(direct.status, ResponseStatus::kOk) << direct.error;
+    ASSERT_EQ(first.status, ResponseStatus::kOk) << first.error;
+    EXPECT_EQ(direct.id, "direct");
+    EXPECT_FALSE(direct.cache_hit);
+    EXPECT_EQ(*direct.result_wire, *first.result_wire);
+    const ServiceStats stats = svc.stats();
+    EXPECT_EQ(stats.cache_misses, 1u);
+    EXPECT_EQ(stats.cache_coalesced, 1u);
+    EXPECT_EQ(stats.cache_entries, 1u);
+}
+
+// Both registration paths hash the instance once, the same way: a request
+// by reference to a preloaded instance and the same instance sent inline
+// share one cache entry.
+TEST(Service, PreloadedAndInlineInstanceShareCacheEntry) {
+    const auto inst = uavdc::testing::small_instance(16, 220.0, 93);
+    PlanService::Config cfg;
+    cfg.workers = 1;
+    cfg.defaults = fast_options();
+    PlanService svc(cfg);
+    svc.preload_instance(inst);
+
+    PlanRequest by_ref;
+    by_ref.id = "ref";
+    by_ref.planner = "alg2";
+    by_ref.instance_ref = core::PlanningContext::instance_fingerprint(inst);
+    const PlanResponse planned = svc.execute(by_ref);
+    ASSERT_EQ(planned.status, ResponseStatus::kOk) << planned.error;
+    EXPECT_FALSE(planned.cache_hit);
+
+    const PlanResponse inline_hit =
+        svc.execute(make_request("inline", "alg2", inst));
+    ASSERT_EQ(inline_hit.status, ResponseStatus::kOk) << inline_hit.error;
+    EXPECT_TRUE(inline_hit.cache_hit);
+    EXPECT_EQ(*inline_hit.result_wire, *planned.result_wire);
+
+    const ServiceStats stats = svc.stats();
+    EXPECT_EQ(stats.cache_entries, 1u);
+    EXPECT_EQ(stats.cache_hits, 1u);
+    EXPECT_EQ(stats.cache_misses, 1u);
 }
 
 TEST(Service, CacheHitPayloadEqualsMissPayload) {

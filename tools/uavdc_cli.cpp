@@ -434,15 +434,7 @@ int cmd_serve_tcp(const util::Flags& flags,
               << " malformed frames, " << res.transport.shed_on_shutdown
               << " shed at shutdown; ok=" << res.service.ok
               << " cache hit rate "
-              << util::Table::fmt(
-                     100.0 *
-                         (res.service.cache_hits + res.service.cache_misses
-                              ? static_cast<double>(res.service.cache_hits) /
-                                    static_cast<double>(
-                                        res.service.cache_hits +
-                                        res.service.cache_misses)
-                              : 0.0),
-                     1)
+              << util::Table::fmt(100.0 * res.service.cache_hit_rate(), 1)
               << "%";
     if (!flags.get_string("repo", "").empty()) {
         std::cerr << "; repo preloaded " << res.preloaded.instances
