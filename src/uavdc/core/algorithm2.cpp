@@ -10,7 +10,6 @@
 #include "uavdc/core/tour_builder.hpp"
 #include "uavdc/graph/christofides.hpp"
 #include "uavdc/util/check.hpp"
-#include "uavdc/util/parallel_for.hpp"
 #include "uavdc/util/timer.hpp"
 
 namespace uavdc::core {
@@ -154,9 +153,7 @@ PlanResult GreedyCoveragePlanner::plan_reference(const PlanningContext& ctx,
     const double deadline = cfg_.max_tour_time_s;
 
     std::vector<Score> scores(cands.size());
-    const bool parallel =
-        cfg_.parallel_threshold > 0 &&
-        cands.size() >= static_cast<std::size_t>(cfg_.parallel_threshold);
+    std::vector<geom::Vec2> pts;  // exact_ratio_tsp scratch, one per plan
 
     int iterations = 0;
     int since_retour = 0;
@@ -172,10 +169,7 @@ PlanResult GreedyCoveragePlanner::plan_reference(const PlanningContext& ctx,
                 if (s.new_mb > 0.0) {
                     if (cfg_.exact_ratio_tsp) {
                         // Literal Eq. 13: TSP(S_j) via Christofides over the
-                        // current stops plus this candidate. Thread-local
-                        // scratch: one allocation per thread, not one per
-                        // candidate per iteration.
-                        static thread_local std::vector<geom::Vec2> pts;
+                        // current stops plus this candidate.
                         pts.clear();
                         pts.reserve(tour.size() + 2);
                         pts.push_back(inst.depot);
@@ -217,7 +211,7 @@ PlanResult GreedyCoveragePlanner::plan_reference(const PlanningContext& ctx,
             }
             scores[i] = s;
         };
-        util::maybe_parallel_for(parallel, 0, cands.size(), score_one, 64);
+        for (std::size_t i = 0; i < cands.size(); ++i) score_one(i);
 
         // Deterministic argmax: (ratio desc, index asc), threshold > kEps.
         std::size_t best = cands.size();
@@ -280,9 +274,6 @@ PlanResult GreedyCoveragePlanner::plan_incremental(
     const double energy_cap = inst.uav.energy_j;
     const double deadline = cfg_.max_tour_time_s;
     const bool tsp = cfg_.exact_ratio_tsp;
-    const bool parallel =
-        cfg_.parallel_threshold > 0 &&
-        n >= static_cast<std::size_t>(cfg_.parallel_threshold);
 
     // Per-plan scratch lives in the context's arena: back-to-back plans on
     // the same context reuse one warmed block (zero allocation).
@@ -392,8 +383,8 @@ PlanResult GreedyCoveragePlanner::plan_incremental(
     };
 
     // Initial full scoring pass.
-    cache.rebuild_all(parallel);
-    util::maybe_parallel_for(parallel, 0, n, refresh_gain, 64);
+    cache.rebuild_all();
+    for (std::size_t i = 0; i < n; ++i) refresh_gain(i);
     for (std::size_t i = 0; i < n; ++i) {
         if (gain_mb[i] <= 0.0) {
             // No residual prize now means none ever (coverage only grows).
@@ -452,15 +443,13 @@ PlanResult GreedyCoveragePlanner::plan_incremental(
             since_retour = 0;
             tour.reoptimize();
             cache.invalidate_all();
-            cache.rebuild_all(parallel);
+            cache.rebuild_all();
         } else {
             cache.on_insert(ins, ins_changed);
         }
 
-        util::maybe_parallel_for(
-            parallel && gain_dirty.size() >= 256, 0, gain_dirty.size(),
-            [&](std::size_t t) { refresh_gain(gain_dirty[t]); }, 64);
         for (const std::size_t j : gain_dirty) {
+            refresh_gain(j);
             dirty_mark[j] = 0;
             if (gain_mb[j] <= 0.0) {
                 queue.deactivate(j);

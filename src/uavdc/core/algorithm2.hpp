@@ -34,9 +34,6 @@ struct Algorithm2Config {
     /// after this many insertions; 0 disables periodic re-touring (a final
     /// re-tour still runs). Shorter tours free energy for more stops.
     int retour_every = 8;
-    /// Score candidates on the global thread pool when there are at least
-    /// this many of them (0 = always serial).
-    int parallel_threshold = 512;
     /// Optional mission deadline: total tour time T = T_h + T_t must not
     /// exceed this many seconds (0 = unconstrained). An operational
     /// extension beyond the paper's energy-only budget.

@@ -9,7 +9,6 @@
 #include "uavdc/core/planning_context.hpp"
 #include "uavdc/core/tour_builder.hpp"
 #include "uavdc/util/check.hpp"
-#include "uavdc/util/parallel_for.hpp"
 #include "uavdc/util/timer.hpp"
 
 namespace uavdc::core {
@@ -112,9 +111,6 @@ PlanResult PartialCollectionPlanner::plan_reference(
     const double deadline = cfg_.max_tour_time_s;
 
     std::vector<Score> scores(cands.size());
-    const bool parallel =
-        cfg_.parallel_threshold > 0 &&
-        cands.size() >= static_cast<std::size_t>(cfg_.parallel_threshold);
 
     int iterations = 0;
     int since_retour = 0;
@@ -175,7 +171,7 @@ PlanResult PartialCollectionPlanner::plan_reference(
             }
             scores[j] = best;
         };
-        util::maybe_parallel_for(parallel, 0, cands.size(), score_one, 32);
+        for (std::size_t j = 0; j < cands.size(); ++j) score_one(j);
 
         // Deterministic argmax: (ratio desc, index asc), threshold > kEps.
         std::size_t best = cands.size();
@@ -243,9 +239,6 @@ PlanResult PartialCollectionPlanner::plan_incremental(
     const double energy_cap = inst.uav.energy_j;
     const int k_max = cfg_.k;
     const double deadline = cfg_.max_tour_time_s;
-    const bool parallel =
-        cfg_.parallel_threshold > 0 &&
-        n >= static_cast<std::size_t>(cfg_.parallel_threshold);
 
     // Per-plan scratch lives in the context's arena: back-to-back plans on
     // the same context reuse one warmed block (zero allocation).
@@ -358,7 +351,7 @@ PlanResult PartialCollectionPlanner::plan_incremental(
         return {best.ratio, best.feasible && best.ratio > kEps};
     };
 
-    cache.rebuild_all(parallel);
+    cache.rebuild_all();
     for (std::size_t j = 0; j < n; ++j) {
         const double key = key_of(j);
         if (key < 0.0) {
@@ -423,7 +416,7 @@ PlanResult PartialCollectionPlanner::plan_incremental(
         if (do_retour) {
             tour.reoptimize();
             cache.invalidate_all();
-            cache.rebuild_all(parallel);
+            cache.rebuild_all();
         } else if (was_new) {
             cache.on_insert(s.ins, ins_changed);
         }

@@ -16,8 +16,6 @@ struct Algorithm3Config {
     int k = 2;
     /// Re-optimise the tour after this many new stops (0 = final pass only).
     int retour_every = 8;
-    /// Parallel candidate scoring threshold (0 = always serial).
-    int parallel_threshold = 512;
     /// Optional mission deadline on T = T_h + T_t in seconds
     /// (0 = unconstrained); see Algorithm2Config::max_tour_time_s.
     double max_tour_time_s = 0.0;

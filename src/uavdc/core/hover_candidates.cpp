@@ -38,17 +38,22 @@ double coverage_spread(const geom::Vec2& pos, const std::vector<int>& covered,
 
 }  // namespace
 
+geom::Grid hover_grid(const model::Instance& inst,
+                      const HoverCandidateConfig& cfg) {
+    geom::Aabb hover_region = inst.region;
+    if (cfg.inflate_by_coverage) {
+        hover_region = hover_region.inflated(inst.uav.coverage_radius_m);
+    }
+    return {hover_region, cfg.delta_m};
+}
+
 HoverCandidateSet build_hover_candidates(const model::Instance& inst,
                                          const HoverCandidateConfig& cfg,
                                          const DeviceSoa* device_soa) {
     HoverCandidateSet out;
     out.delta_m = cfg.delta_m;
 
-    geom::Aabb hover_region = inst.region;
-    if (cfg.inflate_by_coverage) {
-        hover_region = hover_region.inflated(inst.uav.coverage_radius_m);
-    }
-    const geom::Grid grid(hover_region, cfg.delta_m);
+    const geom::Grid grid = hover_grid(inst, cfg);
     out.grid_cells = grid.num_cells();
 
     const double eta_h = inst.uav.hover_power_w;

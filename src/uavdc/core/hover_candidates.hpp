@@ -54,6 +54,13 @@ struct HoverCandidateSet {
     [[nodiscard]] std::size_t size() const { return candidates.size(); }
 };
 
+/// The grid candidates are cut from: the instance region (inflated by R0
+/// when `cfg.inflate_by_coverage`) in delta-squares. Throws
+/// std::invalid_argument when the cell count exceeds INT_MAX (see
+/// geom::Grid), so callers can vet a request's options before planning.
+[[nodiscard]] geom::Grid hover_grid(const model::Instance& inst,
+                                    const HoverCandidateConfig& cfg);
+
 /// Build candidate hovering locations for `inst`: partition the region into
 /// delta-squares, keep cells covering >= 1 device, compute Eq. 6-8
 /// quantities, dedupe and cap per `cfg`. When the caller already holds the

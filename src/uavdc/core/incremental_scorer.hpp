@@ -60,7 +60,7 @@ class InvertedCoverageIndex {
 /// pushes a fresh entry, so stale heap entries are recognised and discarded
 /// on pop. The heap orders by (key desc, index asc) — the same deterministic
 /// lexicographic rule the reference scorer's ascending argmax scan applies —
-/// so serial and parallel planner paths pick identical candidates.
+/// so the reference and incremental engines pick identical candidates.
 class LazyGreedyQueue {
   public:
     explicit LazyGreedyQueue(std::size_t n)

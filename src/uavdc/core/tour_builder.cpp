@@ -7,7 +7,6 @@
 #include "uavdc/graph/christofides.hpp"
 #include "uavdc/graph/local_search.hpp"
 #include "uavdc/util/check.hpp"
-#include "uavdc/util/parallel_for.hpp"
 
 namespace uavdc::core {
 
@@ -19,8 +18,9 @@ namespace {
 constexpr std::size_t kNeighborReoptMinNodes = 64;
 constexpr std::size_t kReoptNeighbors = 12;
 
-/// Per-thread squared-distance scratch for the batched insertion scans
-/// (rebuild_all fans cheapest_insertion2 out over pool threads). Grow-only.
+/// Per-thread squared-distance scratch for the batched insertion scans.
+/// Thread-local because service workers plan concurrently, each scanning
+/// its own tour. Grow-only.
 thread_local std::vector<double> t_scan_dist2;
 
 /// Relative slack on the squared-space prune tests. The bound compares
@@ -513,17 +513,14 @@ void InsertionCache::on_insert(const TourBuilder::Insertion& ins,
     }
 }
 
-void InsertionCache::rebuild_all(bool parallel) {
-    util::maybe_parallel_for(
-        parallel, 0, ids_.size(),
-        [&](std::size_t k) {
-            const std::size_t i = ids_[k];
-            const auto r = tour_->cheapest_insertion2(point(k));
-            cached_[i] = r.best;
-            second_[i] = r.second;
-            second_ok_[i] = r.has_second ? 1 : 0;
-        },
-        64);
+void InsertionCache::rebuild_all() {
+    for (std::size_t k = 0; k < ids_.size(); ++k) {
+        const std::size_t i = ids_[k];
+        const auto r = tour_->cheapest_insertion2(point(k));
+        cached_[i] = r.best;
+        second_[i] = r.second;
+        second_ok_[i] = r.has_second ? 1 : 0;
+    }
     dirty_ = false;
 }
 

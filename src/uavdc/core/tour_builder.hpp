@@ -209,9 +209,8 @@ class InsertionCache {
     /// Mark every entry stale (after TourBuilder::reoptimize()).
     void invalidate_all() { dirty_ = true; }
 
-    /// Recompute every active entry from scratch (on the global thread pool
-    /// when `parallel`) and clear the dirty bit.
-    void rebuild_all(bool parallel);
+    /// Recompute every active entry from scratch and clear the dirty bit.
+    void rebuild_all();
 
   private:
     [[nodiscard]] geom::Vec2 point(std::size_t dense) const {

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cstring>
 #include <future>
+#include <stdexcept>
 #include <tuple>
 #include <utility>
 
+#include "uavdc/core/hover_candidates.hpp"
 #include "uavdc/core/planning_context.hpp"
 #include "uavdc/io/serialize.hpp"
 #include "uavdc/util/check.hpp"
@@ -715,6 +717,16 @@ PlanResponse PlanService::plan_miss(const std::string& planner_name,
                                     std::uint64_t opts_fp,
                                     const std::string& canon) {
     PlanResponse resp;
+    try {
+        // A grid too fine to index is the request's fault, not a planner
+        // failure: reject it before any planner runs.
+        (void)core::hover_grid(inst.inst, opts.hover_config());
+    } catch (const std::invalid_argument& ex) {
+        resp.status = ResponseStatus::kBadRequest;
+        resp.error = std::string("'delta_m' too fine for this instance: ") +
+                     ex.what();
+        return resp;
+    }
     try {
         auto planner = core::make_planner(planner_name, opts);
         const auto ctx =

@@ -56,25 +56,4 @@ void parallel_for(std::size_t begin, std::size_t end, F&& f,
     parallel_for(global_pool(), begin, end, std::forward<F>(f), min_chunk);
 }
 
-/// Run f over [begin, end) on the global pool when `parallel`, inline
-/// otherwise. Lets callers thread one "are we over the parallel threshold"
-/// decision through scoring/rebuild helpers without duplicating both loops.
-template <typename F>
-void maybe_parallel_for(bool parallel, std::size_t begin, std::size_t end,
-                        F&& f, std::size_t min_chunk = 1) {
-    if (parallel) {
-        parallel_for(global_pool(), begin, end, std::forward<F>(f), min_chunk);
-        return;
-    }
-    for (std::size_t i = begin; i < end; ++i) f(i);
-}
-
-/// Parallel map: out[i] = f(i) for i in [0, n).
-template <typename T, typename F>
-std::vector<T> parallel_map(ThreadPool& pool, std::size_t n, F&& f) {
-    std::vector<T> out(n);
-    parallel_for(pool, 0, n, [&](std::size_t i) { out[i] = f(i); });
-    return out;
-}
-
 }  // namespace uavdc::util

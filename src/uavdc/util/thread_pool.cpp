@@ -39,20 +39,9 @@ void ThreadPool::worker_loop() {
             }
             task = std::move(queue_.front());
             queue_.pop_front();
-            ++active_;
         }
         task();
-        {
-            std::lock_guard lock(mu_);
-            --active_;
-            if (queue_.empty() && active_ == 0) idle_cv_.notify_all();
-        }
     }
-}
-
-void ThreadPool::wait_idle() {
-    std::unique_lock lock(mu_);
-    idle_cv_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
 }
 
 bool ThreadPool::on_worker_thread() const {

@@ -13,9 +13,10 @@
 
 namespace uavdc::util {
 
-/// Fixed-size worker pool. The planners use it to score candidate hovering
-/// locations in parallel and the bench harness uses it to evaluate the 15
-/// replicate instances concurrently.
+/// Fixed-size worker pool. Parallelism is across whole plans: the plan
+/// service runs its workers on one, and compare, conformance, Monte Carlo
+/// and the bench harness's replicates spread plans over one. A greedy plan
+/// never fans out onto it (DESIGN.md, concurrency model).
 ///
 /// Tasks are arbitrary callables; `submit` returns a std::future. The pool
 /// joins all workers on destruction after draining the queue.
@@ -46,9 +47,6 @@ class ThreadPool {
         return fut;
     }
 
-    /// Block until the queue is empty and all workers are idle.
-    void wait_idle();
-
     /// Deterministic shutdown: drain the queue, then join every worker.
     /// Idempotent (the destructor calls it); `submit` after shutdown raises
     /// a ContractViolation. Lets owners (the plan service, tests) sequence
@@ -68,8 +66,6 @@ class ThreadPool {
     std::deque<std::function<void()>> queue_;
     std::mutex mu_;
     std::condition_variable cv_;
-    std::condition_variable idle_cv_;
-    std::size_t active_{0};
     bool stopping_{false};
 };
 

@@ -1,9 +1,9 @@
 // Equivalence suite for the incremental scoring engine: the lazy-greedy
 // incremental planners must produce *bit-identical* plans (stops, dwells,
 // planned_mb, iteration counts) to the retained reference (from-scratch)
-// scorer, serially and in parallel, across seeded generator instances —
-// plus unit tests for the engine's parts (inverted coverage index,
-// edge-local insertion cache, lazy-greedy queue).
+// scorer across seeded generator instances — plus unit tests for the
+// engine's parts (inverted coverage index, edge-local insertion cache,
+// lazy-greedy queue).
 
 #include <gtest/gtest.h>
 
@@ -92,8 +92,8 @@ core::HoverCandidateConfig hover_cfg(const model::Instance& inst) {
     return c;
 }
 
-// --- Algorithm 2: incremental == reference, serial and parallel, across
-// --- retour cadences, ratio rules, and deadline configs.
+// --- Algorithm 2: incremental == reference across retour cadences, ratio
+// --- rules, and deadline configs.
 
 TEST(IncrementalEquivalence, Algorithm2MatchesReferenceAcrossInstances) {
     util::Rng rng(2026);
@@ -110,20 +110,11 @@ TEST(IncrementalEquivalence, Algorithm2MatchesReferenceAcrossInstances) {
         cfg.retour_every = kRetours[trial % 4];
         if (trial % 5 == 0) cfg.max_tour_time_s = 400.0;
 
-        PlanResult results[4];
-        int slot = 0;
-        for (const auto engine :
-             {ScoringEngine::kReference, ScoringEngine::kIncremental}) {
-            for (const int threshold : {0, 1}) {  // serial / forced parallel
-                cfg.scoring = engine;
-                cfg.parallel_threshold = threshold;
-                results[slot++] = GreedyCoveragePlanner(cfg).plan(*ctx);
-            }
-        }
-        const std::string tag = "trial " + std::to_string(trial);
-        expect_identical(results[0], results[1], tag + " ref serial/par");
-        expect_identical(results[0], results[2], tag + " ref vs inc serial");
-        expect_identical(results[0], results[3], tag + " ref vs inc par");
+        cfg.scoring = ScoringEngine::kReference;
+        const PlanResult ref = GreedyCoveragePlanner(cfg).plan(*ctx);
+        cfg.scoring = ScoringEngine::kIncremental;
+        const PlanResult inc = GreedyCoveragePlanner(cfg).plan(*ctx);
+        expect_identical(ref, inc, "trial " + std::to_string(trial));
         if (::testing::Test::HasFailure()) break;
     }
 }
@@ -139,20 +130,11 @@ TEST(IncrementalEquivalence, Algorithm2ExactRatioTspMatchesReference) {
         cfg.exact_ratio_tsp = true;
         cfg.retour_every = trial % 2 == 0 ? 4 : 0;
 
-        PlanResult results[4];
-        int slot = 0;
-        for (const auto engine :
-             {ScoringEngine::kReference, ScoringEngine::kIncremental}) {
-            for (const int threshold : {0, 1}) {
-                cfg.scoring = engine;
-                cfg.parallel_threshold = threshold;
-                results[slot++] = GreedyCoveragePlanner(cfg).plan(*ctx);
-            }
-        }
-        const std::string tag = "tsp trial " + std::to_string(trial);
-        expect_identical(results[0], results[1], tag + " ref serial/par");
-        expect_identical(results[0], results[2], tag + " ref vs inc serial");
-        expect_identical(results[0], results[3], tag + " ref vs inc par");
+        cfg.scoring = ScoringEngine::kReference;
+        const PlanResult ref = GreedyCoveragePlanner(cfg).plan(*ctx);
+        cfg.scoring = ScoringEngine::kIncremental;
+        const PlanResult inc = GreedyCoveragePlanner(cfg).plan(*ctx);
+        expect_identical(ref, inc, "tsp trial " + std::to_string(trial));
         if (::testing::Test::HasFailure()) break;
     }
 }
@@ -172,20 +154,11 @@ TEST(IncrementalEquivalence, Algorithm3MatchesReferenceAcrossInstances) {
         cfg.retour_every = kRetours[trial % 3];
         if (trial % 4 == 0) cfg.max_tour_time_s = 500.0;
 
-        PlanResult results[4];
-        int slot = 0;
-        for (const auto engine :
-             {ScoringEngine::kReference, ScoringEngine::kIncremental}) {
-            for (const int threshold : {0, 1}) {
-                cfg.scoring = engine;
-                cfg.parallel_threshold = threshold;
-                results[slot++] = PartialCollectionPlanner(cfg).plan(*ctx);
-            }
-        }
-        const std::string tag = "alg3 trial " + std::to_string(trial);
-        expect_identical(results[0], results[1], tag + " ref serial/par");
-        expect_identical(results[0], results[2], tag + " ref vs inc serial");
-        expect_identical(results[0], results[3], tag + " ref vs inc par");
+        cfg.scoring = ScoringEngine::kReference;
+        const PlanResult ref = PartialCollectionPlanner(cfg).plan(*ctx);
+        cfg.scoring = ScoringEngine::kIncremental;
+        const PlanResult inc = PartialCollectionPlanner(cfg).plan(*ctx);
+        expect_identical(ref, inc, "alg3 trial " + std::to_string(trial));
         if (::testing::Test::HasFailure()) break;
     }
 }
@@ -278,7 +251,7 @@ TEST(InsertionCache, StaysExactUnderInsertions) {
     TourBuilder tour({0.0, 0.0});
     InsertionCache cache(tour, points);
     EXPECT_TRUE(cache.dirty());
-    cache.rebuild_all(false);
+    cache.rebuild_all();
     EXPECT_FALSE(cache.dirty());
 
     std::pmr::vector<std::size_t> changed;
@@ -310,7 +283,7 @@ TEST(InsertionCache, ReoptimizeRequiresRebuild) {
     }
     TourBuilder tour({0.0, 0.0});
     InsertionCache cache(tour, points);
-    cache.rebuild_all(false);
+    cache.rebuild_all();
     std::pmr::vector<std::size_t> changed;
     for (std::size_t i = 0; i < 8; ++i) {
         const auto ins = cache.get(i);
@@ -321,7 +294,7 @@ TEST(InsertionCache, ReoptimizeRequiresRebuild) {
     tour.reoptimize();
     cache.invalidate_all();
     EXPECT_TRUE(cache.dirty());
-    cache.rebuild_all(true);  // parallel rebuild path
+    cache.rebuild_all();
     EXPECT_FALSE(cache.dirty());
     for (std::size_t i = 8; i < points.size(); ++i) {
         const auto fresh = tour.cheapest_insertion(points[i]);
@@ -336,7 +309,7 @@ TEST(InsertionCache, ReportsChangedCandidates) {
     TourBuilder tour({0.0, 0.0});
     std::vector<geom::Vec2> points{{100.0, 0.0}, {100.0, 5.0}, {0.0, 100.0}};
     InsertionCache cache(tour, points);
-    cache.rebuild_all(false);
+    cache.rebuild_all();
     // Empty tour: every delta is the out-and-back 2 * d(depot, p).
     EXPECT_EQ(cache.get(0).delta_m, 2.0 * geom::distance({0.0, 0.0}, points[0]));
 
@@ -495,7 +468,7 @@ TEST(InsertionCache, RunnerUpSurvivesRepeatedStraddles) {
         pts.push_back({rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)});
     }
     InsertionCache cache(tour, pts);
-    cache.rebuild_all(false);
+    cache.rebuild_all();
     std::pmr::vector<std::size_t> changed;
     std::vector<char> used(pts.size(), 0);
     for (int step = 0; step < 25; ++step) {

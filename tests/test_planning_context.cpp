@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <thread>
+#include <vector>
+
 #include "test_util.hpp"
+#include "uavdc/core/algorithm2.hpp"
+#include "uavdc/core/algorithm3.hpp"
 #include "uavdc/core/compare.hpp"
 #include "uavdc/core/hover_candidates.hpp"
 #include "uavdc/core/registry.hpp"
@@ -193,6 +199,79 @@ TEST(PlanningContext, ComparePlannersBuildsCandidatesOnce) {
     const auto results = compare_planners(inst, opts);
     EXPECT_EQ(results.size(), planner_names().size());
     EXPECT_EQ(PlanningContext::total_candidate_builds(), builds_before + 1);
+}
+
+// Service workers plan on one shared context at once. Concurrent alg2 and
+// alg3 plans, with and without candidate reduction, over a set large enough
+// for real scans, must equal serial plans bit for bit. This covers the
+// thread-local scan scratch, the arena pool, and the memoized inverted index
+// and reduced views, which the threads race to build on a fresh context.
+TEST(PlanningContext, ConcurrentPlansOnOneContextMatchSerial) {
+    const auto inst = testing::small_instance(300, 1500.0, 23, 2.0e5);
+    HoverCandidateConfig hover;
+    hover.delta_m = 10.0;
+    CandidateReductionConfig reduce;
+    reduce.dominance = true;
+    reduce.coarsen_factor = 2;
+    reduce.refine_band_m = 4.0 * hover.delta_m;
+
+    // One planner set per thread, as each service request makes its own.
+    const auto make_planners = [&] {
+        std::vector<std::unique_ptr<Planner>> out;
+        for (const bool reduced : {false, true}) {
+            Algorithm2Config a2;
+            a2.candidates = hover;
+            if (reduced) a2.reduction = reduce;
+            out.push_back(std::make_unique<GreedyCoveragePlanner>(a2));
+            Algorithm3Config a3;
+            a3.candidates = hover;
+            if (reduced) a3.reduction = reduce;
+            out.push_back(std::make_unique<PartialCollectionPlanner>(a3));
+        }
+        return out;
+    };
+
+    const auto serial_ctx = PlanningContext::build(inst, hover);
+    ASSERT_GE(serial_ctx->candidates().size(), 512u);
+    std::vector<PlanResult> serial;
+    for (const auto& p : make_planners()) {
+        serial.push_back(p->plan(*serial_ctx));
+        ASSERT_GT(serial.back().plan.stops.size(), 5u);
+    }
+
+    constexpr std::size_t kThreads = 4;
+    constexpr std::size_t kRounds = 2;
+    const auto shared = PlanningContext::build(inst, hover);
+    // Thread t's k-th plan uses planner (t + k) % serial.size(), so the
+    // threads start on different planners.
+    std::vector<std::vector<PlanResult>> got(kThreads);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            const auto planners = make_planners();
+            for (std::size_t r = 0; r < kRounds; ++r) {
+                for (std::size_t i = 0; i < planners.size(); ++i) {
+                    const std::size_t q = (t + i) % planners.size();
+                    got[t].push_back(planners[q]->plan(*shared));
+                }
+            }
+        });
+    }
+    for (auto& th : threads) th.join();
+
+    for (std::size_t t = 0; t < kThreads; ++t) {
+        ASSERT_EQ(got[t].size(), kRounds * serial.size());
+        for (std::size_t k = 0; k < got[t].size(); ++k) {
+            const std::size_t q = (t + k) % serial.size();
+            const PlanResult& a = got[t][k];
+            const PlanResult& b = serial[q];
+            EXPECT_TRUE(plans_equal(a.plan, b.plan))
+                << "thread " << t << " plan " << k;
+            EXPECT_EQ(a.stats.planned_mb, b.stats.planned_mb);
+            EXPECT_EQ(a.stats.planned_energy_j, b.stats.planned_energy_j);
+            EXPECT_EQ(a.stats.iterations, b.stats.iterations);
+        }
+    }
 }
 
 }  // namespace

@@ -935,6 +935,59 @@ TEST(Service, BadRequestsAndShutdownAreStructured) {
                   stats.deadline_exceeded + stats.internal_errors);
 }
 
+TEST(Service, OversizedGridIsABadRequestNotAnInternalError) {
+    // Both grids overflow int cell ids: a 200 km field at 1 m (4e10 cells)
+    // and a 2 m field at 1e-300 m. Every duplicate gets the same bad_request
+    // (one that parks gets its leader's) and nothing is cached; a sane delta
+    // still plans.
+    const auto huge = uavdc::testing::manual_instance(
+        {{{400.0, 300.0}, 500.0}, {{150000.0, 20000.0}, 800.0}}, 200000.0);
+    const auto tiny =
+        uavdc::testing::manual_instance({{{1.0, 1.0}, 100.0}}, 2.0);
+    constexpr std::size_t kRequests = 6;
+    for (const auto& [inst, delta] :
+         {std::pair{&huge, 1.0}, std::pair{&tiny, 1e-300}}) {
+        PlanService::Config cfg;
+        cfg.workers = 4;
+        cfg.defaults = fast_options();
+        PlanService svc(cfg);
+        std::mutex mu;
+        std::vector<PlanResponse> responses;
+        for (std::size_t i = 0; i < kRequests; ++i) {
+            PlanRequest req =
+                make_request("g#" + std::to_string(i), "alg2", *inst);
+            req.overrides.delta_m = delta;
+            svc.submit(std::move(req), [&](PlanResponse resp) {
+                std::lock_guard lock(mu);
+                responses.push_back(std::move(resp));
+            });
+        }
+        svc.drain();
+        ASSERT_EQ(responses.size(), kRequests);
+        for (const auto& r : responses) {
+            EXPECT_EQ(r.status, ResponseStatus::kBadRequest) << r.error;
+            EXPECT_EQ(r.error, responses.front().error) << r.id;
+            EXPECT_NE(r.error.find("delta_m"), std::string::npos) << r.error;
+            EXPECT_EQ(r.result_wire, nullptr);
+        }
+        ServiceStats stats = svc.stats();
+        EXPECT_EQ(stats.rejected_bad_request, kRequests);
+        EXPECT_EQ(stats.internal_errors, 0u);
+        EXPECT_EQ(stats.cache_entries, 0u);
+        EXPECT_EQ(stats.cache_misses + stats.cache_coalesced, kRequests);
+
+        PlanRequest sane = make_request("sane", "alg2", *inst);
+        sane.overrides.delta_m = inst == &tiny ? 0.5 : 50.0;
+        EXPECT_EQ(svc.execute(sane).status, ResponseStatus::kOk);
+        stats = svc.stats();
+        EXPECT_EQ(stats.cache_entries, 1u);
+        EXPECT_EQ(stats.completed,
+                  stats.ok + stats.rejected_overload +
+                      stats.rejected_bad_request + stats.rejected_shutdown +
+                      stats.deadline_exceeded + stats.internal_errors);
+    }
+}
+
 TEST(Service, ThrowingCallbackDoesNotWedgeDrain) {
     const auto inst = uavdc::testing::small_instance(10, 160.0, 86);
     PlanService::Config cfg;

@@ -38,16 +38,6 @@ TEST(ThreadPool, PropagatesExceptions) {
     EXPECT_THROW(f.get(), std::runtime_error);
 }
 
-TEST(ThreadPool, WaitIdleBlocksUntilDrained) {
-    ThreadPool pool(2);
-    std::atomic<int> done{0};
-    for (int i = 0; i < 64; ++i) {
-        (void)pool.submit([&done] { ++done; });
-    }
-    pool.wait_idle();
-    EXPECT_EQ(done.load(), 64);
-}
-
 TEST(ThreadPool, DefaultThreadCountPositive) {
     ThreadPool pool;
     EXPECT_GE(pool.num_threads(), 1u);
@@ -96,17 +86,6 @@ TEST(ParallelFor, SumMatchesSerial) {
     for (double v : vals) s += v;
     EXPECT_DOUBLE_EQ(s, 0.5 * static_cast<double>(n) *
                             static_cast<double>(n - 1) / 2.0);
-}
-
-TEST(ParallelMap, ProducesOrderedResults) {
-    ThreadPool pool(4);
-    const auto out = parallel_map<int>(pool, 100, [](std::size_t i) {
-        return static_cast<int>(i * i);
-    });
-    ASSERT_EQ(out.size(), 100u);
-    for (std::size_t i = 0; i < out.size(); ++i) {
-        EXPECT_EQ(out[i], static_cast<int>(i * i));
-    }
 }
 
 TEST(GlobalPool, IsUsable) {

@@ -277,8 +277,8 @@ int cmd_compare(const util::Flags& flags) {
             if (!tok.empty()) names.push_back(tok);
         }
     }
-    // Planners fan out across the process-wide pool — the same workers the
-    // planners' own parallel_for uses, so no extra threads are spawned.
+    // One whole plan per worker of the process-wide pool; each plan runs
+    // serially on its worker.
     const auto results =
         core::compare_planners(inst, opts, names, &util::global_pool());
     if (flags.get_bool("json", false)) {
