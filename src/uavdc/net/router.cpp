@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "uavdc/core/planning_context.hpp"
-#include "uavdc/io/serialize.hpp"
 #include "uavdc/net/frame.hpp"
 #include "uavdc/net/process.hpp"
 #include "uavdc/net/socket.hpp"
@@ -18,25 +17,6 @@ namespace uavdc::net {
 namespace {
 
 constexpr std::size_t kReadChunk = 64u * 1024;
-
-struct ClientConn {
-    Socket sock;
-    FrameDecoder decoder;
-    std::string outbuf;
-    std::uint64_t submitted{0};
-    std::uint64_t delivered{0};
-    struct DrainWait {
-        std::uint64_t threshold;
-        std::string id;
-        bool length_prefixed;
-    };
-    std::vector<DrainWait> drains;
-    bool read_eof{false};
-    bool dead{false};
-
-    ClientConn(Socket s, std::size_t max_frame)
-        : sock(std::move(s)), decoder(max_frame) {}
-};
 
 /// One forwarded-but-unanswered request. Entries leave the table only when
 /// their response is handed to the client (or the client is gone), which is
@@ -65,7 +45,6 @@ struct Upstream {
 
 Router::RunResult Router::run() {
     RunResult result;
-    TransportStats& t = result.transport;
 
     const bool managed = cfg_.endpoints.empty();
     const std::size_t nshards =
@@ -83,6 +62,14 @@ Router::RunResult Router::run() {
 
     std::map<std::uint64_t, PendingReq> pending;
     std::uint64_t next_seq = 1;
+
+    FrontEnd front(cfg_, [&] {
+        io::Json stats;
+        stats["shards"] = nshards;
+        stats["pending"] = pending.size();
+        return stats;
+    });
+    TransportStats& t = front.counters();
 
     const auto shard_argv = [&](std::size_t i) {
         std::vector<std::string> argv{self_exe_path(), "serve", "--tcp",
@@ -167,166 +154,6 @@ Router::RunResult Router::run() {
         }
     }
 
-    Socket listener = Socket::listen_tcp(cfg_.host, cfg_.port, 256);
-    listener.set_nonblocking(true);
-    if (cfg_.on_listening) cfg_.on_listening(listener.local_port());
-
-    std::map<std::uint64_t, std::unique_ptr<ClientConn>> conns;
-    std::uint64_t next_conn_id = 1;
-    bool stopping = false;
-
-    const auto stop_requested = [&] {
-        return cfg_.stop != nullptr &&
-               cfg_.stop->load(std::memory_order_acquire);
-    };
-
-    const auto control_reply = [&](ClientConn& c, const std::string& id,
-                                   const std::string& op,
-                                   bool length_prefixed) {
-        io::Json reply;
-        reply["id"] = id;
-        reply["op"] = op;
-        reply["status"] = "ok";
-        TransportStats snap = t;
-        snap.open_connections = conns.size();
-        snap.write_queue_bytes = 0;
-        for (const auto& [cid, cc] : conns) {
-            snap.write_queue_bytes += cc->outbuf.size();
-        }
-        io::Json stats;
-        stats["transport"] = to_json(snap);
-        stats["shards"] = nshards;
-        stats["pending"] = pending.size();
-        reply["stats"] = std::move(stats);
-        c.outbuf += encode_frame(reply.dump(), length_prefixed);
-        ++t.control;
-    };
-
-    const auto release_drains = [&](ClientConn& c) {
-        for (std::size_t i = 0; i < c.drains.size();) {
-            if (c.delivered >= c.drains[i].threshold) {
-                control_reply(c, c.drains[i].id, "drain",
-                              c.drains[i].length_prefixed);
-                c.drains.erase(c.drains.begin() +
-                               static_cast<std::ptrdiff_t>(i));
-            } else {
-                ++i;
-            }
-        }
-    };
-
-    const auto bad_request = [&](ClientConn& c, const std::string& id,
-                                 const std::string& why,
-                                 bool length_prefixed) {
-        service::PlanResponse resp;
-        resp.id = id;
-        resp.status = service::ResponseStatus::kBadRequest;
-        resp.error = why;
-        c.outbuf += encode_frame(service::response_line(resp),
-                                 length_prefixed);
-    };
-
-    /// Shard selector: the request's instance fingerprint when one can be
-    /// determined (ref directly, inline by content hash); an undeterminable
-    /// key routes to shard 0, whose PlanService produces the authoritative
-    /// bad_request.
-    const auto shard_of = [&](const io::Json& doc) -> std::size_t {
-        std::uint64_t fp = 0;
-        try {
-            if (doc.contains("instance_ref")) {
-                fp = service::fingerprint_from_hex(
-                    doc.at("instance_ref").as_string());
-            } else if (doc.contains("instance")) {
-                const model::Instance inst =
-                    io::instance_from_json(doc.at("instance"));
-                fp = core::PlanningContext::instance_fingerprint(inst);
-            }
-        } catch (const std::exception&) {
-            fp = 0;
-        }
-        return static_cast<std::size_t>(fp % nshards);
-    };
-
-    const auto dispatch = [&](std::uint64_t conn_id, ClientConn& c,
-                              const Frame& f, bool shed) {
-        if (f.malformed) {
-            ++t.frames_malformed;
-            bad_request(c, "", "malformed frame: " + f.error, false);
-            return;
-        }
-        ++t.frames_decoded;
-        if (f.payload.empty()) return;
-
-        io::Json doc;
-        try {
-            doc = io::Json::parse(f.payload);
-        } catch (const std::exception& ex) {
-            bad_request(c, "", std::string("unparseable frame: ") + ex.what(),
-                        f.length_prefixed);
-            return;
-        }
-        const std::string id =
-            doc.is_object() ? doc.string_or("id", "") : "";
-        const std::string op =
-            doc.is_object() ? doc.string_or("op", "") : "";
-        if (op == "stats") {
-            control_reply(c, id, "stats", f.length_prefixed);
-            return;
-        }
-        if (op == "drain") {
-            if (c.delivered >= c.submitted) {
-                control_reply(c, id, "drain", f.length_prefixed);
-            } else {
-                c.drains.push_back({c.submitted, id, f.length_prefixed});
-            }
-            return;
-        }
-        if (!op.empty()) {
-            bad_request(c, id, "unknown op '" + op + "' (expected stats|drain)",
-                        f.length_prefixed);
-            return;
-        }
-        if (!doc.is_object()) {
-            bad_request(c, id, "request must be a JSON object",
-                        f.length_prefixed);
-            return;
-        }
-        if (shed) {
-            service::PlanResponse resp;
-            resp.id = id;
-            resp.status = service::ResponseStatus::kShutdown;
-            resp.error = "router draining; request was not forwarded";
-            c.outbuf += encode_frame(service::response_line(resp),
-                                     f.length_prefixed);
-            ++t.shed_on_shutdown;
-            return;
-        }
-
-        const std::size_t shard = shard_of(doc);
-        const std::uint64_t seq = next_seq++;
-        doc["id"] = std::to_string(seq) + "#" + id;
-        PendingReq p;
-        p.client_id = conn_id;
-        p.shard = shard;
-        p.client_lp = f.length_prefixed;
-        p.wire = encode_frame(doc.dump(), /*length_prefixed=*/true);
-        if (shards[shard]->up) {
-            shards[shard]->outbuf += p.wire;
-            p.sent = true;
-        }
-        pending.emplace(seq, std::move(p));
-        ++c.submitted;
-        ++t.requests;
-    };
-
-    const auto pump_frames = [&](std::uint64_t conn_id, ClientConn& c) {
-        while (!c.dead && c.outbuf.size() < cfg_.write_queue_limit) {
-            auto f = c.decoder.next();
-            if (!f) break;
-            dispatch(conn_id, c, *f, /*shed=*/false);
-        }
-    };
-
     /// De-tag a shard response and hand it to its client. The id prefix
     /// (`"<seq>#"`) is stripped textually — object keys are sorted by the
     /// serializer, so the first `"id":"` in the payload is the top-level id
@@ -372,210 +199,123 @@ Router::RunResult Router::run() {
         if (it == pending.end()) return;  // duplicate after resend race
         const PendingReq p = std::move(it->second);
         pending.erase(it);
-        auto cit = conns.find(p.client_id);
-        if (cit == conns.end() || cit->second->dead) return;
-        ClientConn& c = *cit->second;
-        c.outbuf += encode_frame(out, p.client_lp);
-        ++c.delivered;
-        ++t.responses;
-        release_drains(c);
+        front.deliver(p.client_id, encode_frame(out, p.client_lp));
     };
 
-    while (true) {
-        if (!stopping && stop_requested()) {
-            stopping = true;
-            listener.close();
-            for (auto& [id, c] : conns) {
-                if (c->dead) continue;
-                while (auto f = c->decoder.next()) {
-                    dispatch(id, *c, *f, /*shed=*/true);
+    /// Shard I/O: read and forward responses, flush queued requests.
+    const auto serve_shard = [&](std::size_t i, const PollEntry& e) {
+        Upstream& u = *shards[i];
+        if (!u.up) return;
+        if (e.error) {
+            mark_down(i);
+            return;
+        }
+        if (e.readable) {
+            char buf[kReadChunk];
+            while (true) {
+                const IoResult r = u.sock.read_some(buf, sizeof(buf));
+                if (r.status == IoStatus::kWouldBlock) break;
+                if (r.status != IoStatus::kOk) {
+                    mark_down(i);
+                    return;
+                }
+                u.decoder.feed(buf, r.n);
+                while (auto f = u.decoder.next()) {
+                    if (f->malformed) {
+                        ++t.frames_malformed;
+                        continue;
+                    }
+                    forward_response(f->payload);
                 }
             }
         }
-
-        for (std::size_t i = 0; i < nshards; ++i) {
-            if (!shards[i]->up && !stopping) (void)revive(i);
-        }
-
-        for (auto it = conns.begin(); it != conns.end();) {
-            ClientConn& c = *it->second;
-            const bool drained = c.submitted == c.delivered &&
-                                 c.outbuf.empty() && c.drains.empty();
-            if (c.dead || ((c.read_eof || stopping) && drained)) {
-                ++t.connections_closed;
-                it = conns.erase(it);
-            } else {
-                ++it;
+        if (e.writable && !u.outbuf.empty()) {
+            const IoResult r = u.sock.write_some(u.outbuf.data(),
+                                                 u.outbuf.size());
+            if (r.status == IoStatus::kOk) {
+                u.outbuf.erase(0, r.n);
+            } else if (r.status == IoStatus::kError) {
+                mark_down(i);
             }
         }
-        if (stopping && conns.empty()) break;
+    };
 
-        std::vector<PollEntry> entries;
-        // Slot tags: 0 = ignore, 1..n = client id, -(i+1) = shard i,
-        // encoded in a parallel vector of pair<kind, index>.
-        enum class Kind { kIgnore, kListener, kClient, kShard, kChildOut };
-        std::vector<std::pair<Kind, std::uint64_t>> tags;
-        const auto push = [&](PollEntry e, Kind k, std::uint64_t idx) {
-            entries.push_back(e);
-            tags.emplace_back(k, idx);
-        };
-        if (cfg_.wake_fd >= 0) {
-            push({cfg_.wake_fd, true, false, false, false, false},
-                 Kind::kIgnore, 0);
+    /// Post-announce worker stdout (final summaries etc.): drain and discard
+    /// so the child never blocks on a full pipe; close on EOF so a dead
+    /// child's POLLHUP doesn't spin the loop until the respawn replaces the
+    /// pipe.
+    const auto drain_child_out = [&](std::size_t i) {
+        Socket& out = shards[i]->child_out;
+        char buf[256];
+        while (true) {
+            const IoResult r = out.read_some(buf, sizeof(buf));
+            if (r.status == IoStatus::kOk) continue;
+            if (r.status != IoStatus::kWouldBlock) out.close();
+            break;
         }
-        if (!stopping) {
-            push({listener.fd(), true, false, false, false, false},
-                 Kind::kListener, 0);
-        }
-        for (const auto& [id, c] : conns) {
-            PollEntry e;
-            e.fd = c->sock.fd();
-            e.want_read = !stopping && !c->read_eof && !c->dead &&
-                          c->outbuf.size() < cfg_.write_queue_limit;
-            e.want_write = !c->outbuf.empty() && !c->dead;
-            push(e, Kind::kClient, id);
-        }
-        for (std::size_t i = 0; i < nshards; ++i) {
-            Upstream& u = *shards[i];
-            if (u.up) {
-                PollEntry e;
-                e.fd = u.sock.fd();
-                e.want_read = true;
-                e.want_write = !u.outbuf.empty();
-                push(e, Kind::kShard, i);
-            }
-            if (managed && u.child_out.valid()) {
-                push({u.child_out.fd(), true, false, false, false, false},
-                     Kind::kChildOut, i);
-            }
-        }
-        poll_wait(entries, cfg_.poll_timeout_ms);
+    };
 
-        for (std::size_t i = 0; i < entries.size(); ++i) {
-            const auto [kind, idx] = tags[i];
-            switch (kind) {
-                case Kind::kIgnore:
-                    break;
-                case Kind::kListener: {
-                    if (!entries[i].readable) break;
-                    while (auto accepted = listener.accept_one()) {
-                        accepted->set_nonblocking(true);
-                        accepted->set_nodelay(true);
-                        conns.emplace(
-                            next_conn_id,
-                            std::make_unique<ClientConn>(
-                                std::move(*accepted), cfg_.max_frame_bytes));
-                        ++next_conn_id;
-                        ++t.connections_opened;
-                    }
-                    break;
+    // The poll slots this router adds: {shard index, child-stdout slot?}.
+    std::vector<std::pair<std::size_t, bool>> slots;
+
+    front.run(
+        // Forward to the shard that owns the request's instance, re-tagged
+        // `"<seq>#<id>"`.
+        [&](std::uint64_t conn, bool lp, service::Payload&& p) {
+            const service::PlanRequest& req = p.request;
+            const std::uint64_t fp =
+                req.instance_ref
+                    ? *req.instance_ref
+                    : core::PlanningContext::instance_fingerprint(
+                          *req.instance);
+            const std::size_t shard = static_cast<std::size_t>(fp % nshards);
+            const std::uint64_t seq = next_seq++;
+            p.doc["id"] = std::to_string(seq) + "#" + req.id;
+            PendingReq pr;
+            pr.client_id = conn;
+            pr.shard = shard;
+            pr.client_lp = lp;
+            pr.wire = encode_frame(p.doc.dump(), /*length_prefixed=*/true);
+            if (shards[shard]->up) {
+                shards[shard]->outbuf += pr.wire;
+                pr.sent = true;
+            }
+            pending.emplace(seq, std::move(pr));
+        },
+        [&](std::vector<PollEntry>& entries) {
+            slots.clear();
+            for (std::size_t i = 0; i < nshards; ++i) {
+                Upstream& u = *shards[i];
+                if (!u.up && !front.stopping()) (void)revive(i);
+                if (u.up) {
+                    PollEntry e;
+                    e.fd = u.sock.fd();
+                    e.want_read = true;
+                    e.want_write = !u.outbuf.empty();
+                    entries.push_back(e);
+                    slots.emplace_back(i, false);
                 }
-                case Kind::kClient: {
-                    auto it = conns.find(idx);
-                    if (it == conns.end()) break;
-                    ClientConn& c = *it->second;
-                    if (entries[i].error) {
-                        c.dead = true;
-                        break;
-                    }
-                    if (entries[i].readable && !c.read_eof && !c.dead &&
-                        !stopping) {
-                        char buf[kReadChunk];
-                        while (c.outbuf.size() < cfg_.write_queue_limit) {
-                            const IoResult r =
-                                c.sock.read_some(buf, sizeof(buf));
-                            if (r.status == IoStatus::kOk) {
-                                t.bytes_in += r.n;
-                                c.decoder.feed(buf, r.n);
-                                pump_frames(idx, c);
-                                continue;
-                            }
-                            if (r.status == IoStatus::kEof) {
-                                c.read_eof = true;
-                            }
-                            if (r.status == IoStatus::kError) c.dead = true;
-                            break;
-                        }
-                    }
-                    if (entries[i].writable && !c.outbuf.empty() &&
-                        !c.dead) {
-                        const IoResult r = c.sock.write_some(
-                            c.outbuf.data(), c.outbuf.size());
-                        if (r.status == IoStatus::kOk) {
-                            t.bytes_out += r.n;
-                            c.outbuf.erase(0, r.n);
-                        } else if (r.status == IoStatus::kError) {
-                            c.dead = true;
-                        }
-                    }
-                    break;
-                }
-                case Kind::kShard: {
-                    Upstream& u = *shards[idx];
-                    if (!u.up) break;
-                    if (entries[i].error) {
-                        mark_down(idx);
-                        break;
-                    }
-                    if (entries[i].readable) {
-                        char buf[kReadChunk];
-                        bool lost = false;
-                        while (true) {
-                            const IoResult r =
-                                u.sock.read_some(buf, sizeof(buf));
-                            if (r.status == IoStatus::kOk) {
-                                u.decoder.feed(buf, r.n);
-                                while (auto f = u.decoder.next()) {
-                                    if (f->malformed) {
-                                        ++t.frames_malformed;
-                                        continue;
-                                    }
-                                    forward_response(f->payload);
-                                }
-                                continue;
-                            }
-                            if (r.status == IoStatus::kEof ||
-                                r.status == IoStatus::kError) {
-                                lost = true;
-                            }
-                            break;
-                        }
-                        if (lost) {
-                            mark_down(idx);
-                            break;
-                        }
-                    }
-                    if (entries[i].writable && !u.outbuf.empty()) {
-                        const IoResult r = u.sock.write_some(
-                            u.outbuf.data(), u.outbuf.size());
-                        if (r.status == IoStatus::kOk) {
-                            u.outbuf.erase(0, r.n);
-                        } else if (r.status == IoStatus::kError) {
-                            mark_down(idx);
-                        }
-                    }
-                    break;
-                }
-                case Kind::kChildOut: {
-                    // Post-announce worker stdout (final summaries etc.):
-                    // drain and discard so the child never blocks on a full
-                    // pipe; close on EOF so a dead child's POLLHUP doesn't
-                    // spin the loop until the respawn replaces the pipe.
-                    if (!entries[i].readable) break;
-                    Socket& out = shards[idx]->child_out;
-                    char buf[256];
-                    while (true) {
-                        const IoResult r = out.read_some(buf, sizeof(buf));
-                        if (r.status == IoStatus::kOk) continue;
-                        if (r.status != IoStatus::kWouldBlock) out.close();
-                        break;
-                    }
-                    break;
+                if (managed && u.child_out.valid()) {
+                    entries.push_back(
+                        {u.child_out.fd(), true, false, false, false, false});
+                    slots.emplace_back(i, true);
                 }
             }
-        }
-    }
+        },
+        [&](const std::vector<PollEntry>& entries, std::size_t first) {
+            for (std::size_t k = 0; k < slots.size(); ++k) {
+                const auto [i, child] = slots[k];
+                const PollEntry& e = entries[first + k];
+                if (!child) {
+                    serve_shard(i, e);
+                } else if (e.readable) {
+                    drain_child_out(i);
+                }
+            }
+        },
+        [] {});
 
+    result.transport = t;
     result.clean_shutdown = true;
     if (managed) {
         for (auto& u : shards) {

@@ -7,10 +7,11 @@
 namespace uavdc::net {
 
 /// Transport-level counters, reported next to `service::ServiceStats` under
-/// the `"transport"` key of a `stats` reply. The reconciliation invariant
-/// mirrors the service's: `requests == responses + shed_on_shutdown` once a
-/// front-end has drained (every decoded request frame is answered exactly
-/// once — by the service, or by the drain path with `shutdown`).
+/// the `"transport"` key of a `stats` reply. Every decoded plan request is
+/// answered exactly once: submitted (`requests`) and later delivered
+/// (`responses`), or shed by the drain path with `shutdown`
+/// (`shed_on_shutdown`, never counted in `requests`). So once a front end
+/// has drained with no client lost, `requests == responses`.
 struct TransportStats {
     std::uint64_t connections_opened{0};
     std::uint64_t connections_closed{0};

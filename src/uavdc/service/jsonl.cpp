@@ -24,17 +24,13 @@ JsonlSummary serve_jsonl(std::istream& in, std::ostream& out,
     PlanService svc(svc_cfg, pool);
 
     std::mutex out_mu;
-    const auto write_line = [&](const io::Json& doc) {
-        const std::string text = doc.dump();
+    const auto write_line = [&](const std::string& text) {
         std::lock_guard lock(out_mu);
         out << text << '\n';
         out.flush();
     };
     const auto write_response = [&](const PlanResponse& resp) {
-        const std::string text = response_line(resp);
-        std::lock_guard lock(out_mu);
-        out << text << '\n';
-        out.flush();
+        write_line(response_line(resp));
     };
 
     const auto stop_requested = [&] {
@@ -53,72 +49,34 @@ JsonlSummary serve_jsonl(std::istream& in, std::ostream& out,
         if (blank(line)) continue;
         ++summary.lines;
 
-        io::Json doc;
-        std::string parse_error;
-        try {
-            doc = io::Json::parse(line);
-        } catch (const std::exception& ex) {
-            parse_error = ex.what();
+        Payload p = classify_payload(line);
+        switch (p.kind) {
+            case Payload::Kind::kBadRequest:
+                ++summary.parse_errors;
+                write_line(refusal_line(p.id, ResponseStatus::kBadRequest,
+                                        p.error));
+                break;
+            case Payload::Kind::kDrain:
+                svc.drain();
+                [[fallthrough]];
+            case Payload::Kind::kStats:
+                ++summary.control;
+                write_line(control_line(
+                    p.id, p.kind == Payload::Kind::kDrain ? "drain" : "stats",
+                    to_json(svc.stats())));
+                break;
+            case Payload::Kind::kPlan:
+                ++summary.requests;
+                svc.submit(std::move(p.request), write_response);
+                break;
         }
-
-        if (!parse_error.empty()) {
-            ++summary.parse_errors;
-            PlanResponse resp;
-            resp.status = ResponseStatus::kBadRequest;
-            resp.error = "unparseable line: " + parse_error;
-            write_response(resp);
-            continue;
-        }
-
-        const std::string op =
-            doc.is_object() ? doc.string_or("op", "") : "";
-        if (op == "stats" || op == "drain") {
-            ++summary.control;
-            if (op == "drain") svc.drain();
-            io::Json reply;
-            reply["id"] = doc.string_or("id", "");
-            reply["op"] = op;
-            reply["status"] = "ok";
-            reply["stats"] = to_json(svc.stats());
-            write_line(reply);
-            continue;
-        }
-        if (!op.empty()) {
-            ++summary.parse_errors;
-            PlanResponse resp;
-            resp.id = doc.string_or("id", "");
-            resp.status = ResponseStatus::kBadRequest;
-            resp.error = "unknown op '" + op + "' (expected stats|drain)";
-            write_response(resp);
-            continue;
-        }
-
-        PlanRequest req;
-        try {
-            req = request_from_json(doc);
-        } catch (const std::exception& ex) {
-            ++summary.parse_errors;
-            PlanResponse resp;
-            resp.id = doc.is_object() ? doc.string_or("id", "") : "";
-            resp.status = ResponseStatus::kBadRequest;
-            resp.error = ex.what();
-            write_response(resp);
-            continue;
-        }
-        ++summary.requests;
-        svc.submit(std::move(req), write_response);
     }
 
     if (stop_requested()) summary.stopped = true;
     svc.drain();
     summary.stats = svc.stats();
     if (cfg.final_stats) {
-        io::Json reply;
-        reply["id"] = "";
-        reply["op"] = "stats";
-        reply["status"] = "ok";
-        reply["stats"] = to_json(summary.stats);
-        write_line(reply);
+        write_line(control_line("", "stats", to_json(summary.stats)));
     }
     svc.shutdown();
     return summary;

@@ -220,6 +220,57 @@ io::Json to_json(const PlanResponse& resp) {
     return doc;
 }
 
+Payload classify_payload(const std::string& text) {
+    Payload p;
+    try {
+        p.doc = io::Json::parse(text);
+    } catch (const std::exception& ex) {
+        p.error = std::string("unparseable frame: ") + ex.what();
+        return p;
+    }
+    // A non-string "id" or "op" throws too, so no payload escapes as an
+    // exception.
+    try {
+        std::string op;
+        if (p.doc.is_object()) {
+            p.id = p.doc.string_or("id", "");
+            op = p.doc.string_or("op", "");
+        }
+        if (op == "stats") {
+            p.kind = Payload::Kind::kStats;
+        } else if (op == "drain") {
+            p.kind = Payload::Kind::kDrain;
+        } else if (!op.empty()) {
+            p.error = "unknown op '" + op + "' (expected stats|drain)";
+        } else {
+            p.request = request_from_json(p.doc);
+            p.kind = Payload::Kind::kPlan;
+        }
+    } catch (const std::exception& ex) {
+        p.error = ex.what();
+    }
+    return p;
+}
+
+std::string refusal_line(const std::string& id, ResponseStatus status,
+                         const std::string& error) {
+    PlanResponse resp;
+    resp.id = id;
+    resp.status = status;
+    resp.error = error;
+    return response_line(resp);
+}
+
+std::string control_line(const std::string& id, const std::string& op,
+                         io::Json stats) {
+    io::Json reply;
+    reply["id"] = id;
+    reply["op"] = op;
+    reply["status"] = "ok";
+    reply["stats"] = std::move(stats);
+    return reply.dump();
+}
+
 std::string response_line(const PlanResponse& resp) {
     if (!resp.result_wire) return to_json(resp).dump();
     // Envelope keys in the serializer's sorted order, numbers and strings

@@ -102,6 +102,34 @@ struct PlanResponse {
 [[nodiscard]] io::Json to_json(const PlanResponse& resp);
 [[nodiscard]] PlanResponse response_from_json(const io::Json& doc);
 
+/// One client payload, classified. Every transport (JSONL, TCP server,
+/// router) decides what a payload is, and how a bad one is answered, here.
+struct Payload {
+    enum class Kind { kPlan, kStats, kDrain, kBadRequest };
+    Kind kind{Kind::kBadRequest};
+    std::string id;       ///< echoed by the reply; empty if unreadable
+    std::string error;    ///< kBadRequest: the answer's `error` text
+    io::Json doc;         ///< the parsed document (null if unparseable)
+    PlanRequest request;  ///< kPlan: the validated request
+};
+
+/// Parse and classify one payload: `{"op":"stats"|"drain"}` is a control
+/// verb; an unparseable document, any other `op`, or a request that
+/// `request_from_json` rejects is a bad request; anything else is a plan.
+/// Never throws.
+[[nodiscard]] Payload classify_payload(const std::string& text);
+
+/// The wire form of an answer that carries no plan (`bad_request`,
+/// `shutdown`).
+[[nodiscard]] std::string refusal_line(const std::string& id,
+                                       ResponseStatus status,
+                                       const std::string& error);
+
+/// The wire form of the reply to a `stats`/`drain` verb.
+[[nodiscard]] std::string control_line(const std::string& id,
+                                       const std::string& op,
+                                       io::Json stats);
+
 /// The single-line wire form of a response — byte-identical to
 /// `to_json(resp).dump()`, which is what it falls back to. When
 /// `resp.result_wire` is set the envelope is spliced around the

@@ -6,18 +6,21 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "uavdc/core/planning_context.hpp"
 #include "uavdc/io/json.hpp"
+#include "uavdc/io/serialize.hpp"
 #include "uavdc/net/frame.hpp"
 #include "uavdc/net/repository.hpp"
 #include "uavdc/net/router.hpp"
 #include "uavdc/net/signal.hpp"
 #include "uavdc/net/socket.hpp"
 #include "uavdc/net/tcp_server.hpp"
+#include "uavdc/service/jsonl.hpp"
 #include "uavdc/service/plan_service.hpp"
 #include "uavdc/service/request.hpp"
 
@@ -72,6 +75,78 @@ struct ServerHandle {
     ~ServerHandle() { (void)stop_and_join(); }
 };
 
+/// A static-mode Router on its own thread in front of `endpoints`.
+struct RouterHandle {
+    std::atomic<bool> stop{false};
+    int port{0};
+    std::thread thread;
+    Router::RunResult result;
+
+    explicit RouterHandle(std::vector<int> endpoints) {
+        std::promise<int> port_promise;
+        auto port_future = port_promise.get_future();
+        RouterConfig cfg;
+        cfg.port = 0;
+        cfg.endpoints = std::move(endpoints);
+        cfg.stop = &stop;
+        cfg.poll_timeout_ms = 20;
+        cfg.on_listening = [&port_promise](int p) {
+            port_promise.set_value(p);
+        };
+        thread = std::thread([this, cfg = std::move(cfg)]() mutable {
+            Router router(std::move(cfg));
+            result = router.run();
+        });
+        port = port_future.get();
+    }
+
+    Router::RunResult stop_and_join() {
+        stop.store(true);
+        if (thread.joinable()) thread.join();
+        return result;
+    }
+
+    ~RouterHandle() { (void)stop_and_join(); }
+};
+
+/// Which front a client talks to: the server itself, or a static-mode
+/// router in front of it. No client-side test may tell the two apart.
+enum class Front { kServer, kRouter };
+
+/// A server, behind a router for `Front::kRouter`; `port` is the front's.
+struct Stack {
+    ServerHandle server;
+    std::unique_ptr<RouterHandle> router;
+    int port;
+
+    explicit Stack(Front front)
+        : router(front == Front::kRouter
+                     ? std::make_unique<RouterHandle>(
+                           std::vector<int>{server.port})
+                     : nullptr),
+          port(router ? router->port : server.port) {}
+
+    /// The front's graceful-drain flag.
+    std::atomic<bool>& stop() {
+        return router ? router->stop : server.stop;
+    }
+
+    struct Result {
+        TransportStats transport;  ///< the front's counters
+        service::ServiceStats service;
+    };
+
+    /// Drain the front, then the server behind it.
+    Result stop_and_join() {
+        Result r;
+        if (router) r.transport = router->stop_and_join().transport;
+        const auto served = server.stop_and_join();
+        if (!router) r.transport = served.transport;
+        r.service = served.service;
+        return r;
+    }
+};
+
 /// Blocking test client: frames out, frames back with a deadline.
 struct Client {
     Socket sock;
@@ -123,9 +198,9 @@ std::string ref_request(const std::string& id, std::uint64_t fp) {
     return service::to_json(req).dump();
 }
 
-TEST(NetServer, PipelinedMixedFramingAllAnswered) {
-    ServerHandle server;
-    Client client(server.port);
+void pipelined_mixed_framing_all_answered(Front front) {
+    Stack stack(front);
+    Client client(stack.port);
 
     const auto inst = uavdc::testing::small_instance(10, 200.0, 51);
     const auto fp = core::PlanningContext::instance_fingerprint(inst);
@@ -164,16 +239,23 @@ TEST(NetServer, PipelinedMixedFramingAllAnswered) {
         }
     }
 
-    const auto result = server.stop_and_join();
+    const auto result = stack.stop_and_join();
     EXPECT_EQ(result.transport.requests, 7u);
     EXPECT_EQ(result.transport.responses, 7u);
     EXPECT_EQ(result.transport.frames_malformed, 0u);
     EXPECT_EQ(result.service.internal_errors, 0u);
 }
 
-TEST(NetServer, MalformedPayloadAnswersBadRequestWithoutClosing) {
-    ServerHandle server;
-    Client client(server.port);
+TEST(NetServer, PipelinedMixedFramingAllAnswered) {
+    pipelined_mixed_framing_all_answered(Front::kServer);
+}
+TEST(NetRouter, PipelinedMixedFramingAllAnswered) {
+    pipelined_mixed_framing_all_answered(Front::kRouter);
+}
+
+void malformed_payload_answers_bad_request(Front front) {
+    Stack stack(front);
+    Client client(stack.port);
 
     // Unparseable JSON: bad_request, connection survives.
     client.send("this is not json", false);
@@ -206,14 +288,21 @@ TEST(NetServer, MalformedPayloadAnswersBadRequestWithoutClosing) {
     EXPECT_EQ(doc.at("id").as_string(), "ok1");
     EXPECT_EQ(doc.at("status").as_string(), "ok");
 
-    const auto result = server.stop_and_join();
+    const auto result = stack.stop_and_join();
     EXPECT_EQ(result.transport.frames_malformed, 1u);
     EXPECT_EQ(result.transport.requests, 1u);
 }
 
-TEST(NetServer, DrainBarrierAnswersAfterPipelinedRequests) {
-    ServerHandle server;
-    Client client(server.port);
+TEST(NetServer, MalformedPayloadAnswersBadRequestWithoutClosing) {
+    malformed_payload_answers_bad_request(Front::kServer);
+}
+TEST(NetRouter, MalformedPayloadAnswersBadRequestWithoutClosing) {
+    malformed_payload_answers_bad_request(Front::kRouter);
+}
+
+void drain_barrier_answers_after_pipelined(Front front) {
+    Stack stack(front);
+    Client client(stack.port);
 
     const auto inst = uavdc::testing::small_instance(10, 200.0, 53);
     const auto fp = core::PlanningContext::instance_fingerprint(inst);
@@ -243,9 +332,16 @@ TEST(NetServer, DrainBarrierAnswersAfterPipelinedRequests) {
     EXPECT_TRUE(f->length_prefixed);
 }
 
-TEST(NetServer, StatsVerbEmbedsTransportCounters) {
-    ServerHandle server;
-    Client client(server.port);
+TEST(NetServer, DrainBarrierAnswersAfterPipelinedRequests) {
+    drain_barrier_answers_after_pipelined(Front::kServer);
+}
+TEST(NetRouter, DrainBarrierAnswersAfterPipelinedRequests) {
+    drain_barrier_answers_after_pipelined(Front::kRouter);
+}
+
+void stats_verb_embeds_transport_counters(Front front) {
+    Stack stack(front);
+    Client client(stack.port);
 
     const auto inst = uavdc::testing::small_instance(8, 180.0, 54);
     client.send(plan_request("r", inst), false);
@@ -257,8 +353,11 @@ TEST(NetServer, StatsVerbEmbedsTransportCounters) {
     const io::Json doc = io::Json::parse(f->payload);
     EXPECT_EQ(doc.at("op").as_string(), "stats");
     const io::Json& stats = doc.at("stats");
-    // Service-level counters and transport counters, reconciled.
-    EXPECT_EQ(stats.at("completed").as_number(), 1.0);
+    // Service-level counters (a server's own) and the transport counters
+    // every front shares, reconciled.
+    if (front == Front::kServer) {
+        EXPECT_EQ(stats.at("completed").as_number(), 1.0);
+    }
     const io::Json& transport = stats.at("transport");
     EXPECT_EQ(transport.at("requests").as_number(), 1.0);
     EXPECT_EQ(transport.at("responses").as_number(), 1.0);
@@ -267,9 +366,16 @@ TEST(NetServer, StatsVerbEmbedsTransportCounters) {
     EXPECT_GE(transport.at("frames_decoded").as_number(), 2.0);
 }
 
-TEST(NetServer, GracefulStopAnswersEverySubmittedRequest) {
-    ServerHandle server;
-    Client client(server.port);
+TEST(NetServer, StatsVerbEmbedsTransportCounters) {
+    stats_verb_embeds_transport_counters(Front::kServer);
+}
+TEST(NetRouter, StatsVerbEmbedsTransportCounters) {
+    stats_verb_embeds_transport_counters(Front::kRouter);
+}
+
+void graceful_stop_answers_every_submitted(Front front) {
+    Stack stack(front);
+    Client client(stack.port);
 
     const auto inst = uavdc::testing::small_instance(10, 200.0, 55);
     const auto fp = core::PlanningContext::instance_fingerprint(inst);
@@ -279,7 +385,7 @@ TEST(NetServer, GracefulStopAnswersEverySubmittedRequest) {
     }
     // Stop while the pipeline is in flight: whatever the server decoded is
     // answered (`ok` or `shutdown`), then the connection closes cleanly.
-    server.stop.store(true);
+    stack.stop().store(true);
 
     std::set<std::string> answered;
     std::uint64_t shut = 0;
@@ -294,7 +400,7 @@ TEST(NetServer, GracefulStopAnswersEverySubmittedRequest) {
     }
     EXPECT_TRUE(client.eof);  // orderly close, not a reset
 
-    const auto result = server.stop_and_join();
+    const auto result = stack.stop_and_join();
     // Exactly-once reconciliation: every delivered frame is accounted for
     // as a completed submission or an explicit shed, nothing double-counted.
     EXPECT_EQ(result.transport.requests, result.transport.responses);
@@ -302,6 +408,63 @@ TEST(NetServer, GracefulStopAnswersEverySubmittedRequest) {
                                    result.transport.shed_on_shutdown);
     EXPECT_EQ(result.transport.shed_on_shutdown, shut);
     EXPECT_EQ(result.service.internal_errors, 0u);
+}
+
+TEST(NetServer, GracefulStopAnswersEverySubmittedRequest) {
+    graceful_stop_answers_every_submitted(Front::kServer);
+}
+TEST(NetRouter, GracefulStopAnswersEverySubmittedRequest) {
+    graceful_stop_answers_every_submitted(Front::kRouter);
+}
+
+/// The router classifies every payload exactly as a server does, so a
+/// payload either front refuses gets the same bytes from both, and from the
+/// JSONL transport, which classifies through the same function.
+TEST(NetRouter, RefusalsAreByteIdenticalToTheServers) {
+    Stack stack(Front::kRouter);
+    Client direct(stack.server.port);
+    Client routed(stack.port);
+
+    const auto inst = uavdc::testing::small_instance(8, 180.0, 59);
+    const std::vector<std::string> payloads = {
+        // A plan request without "id": the router must not let its own
+        // "<seq>#" tag make the id look present.
+        R"({"instance":)" + io::to_json(inst).dump() + R"(,"planner":"alg2"})",
+        "[1]",
+        "{oops",
+        R"({"id":"u","op":"frobnicate"})",
+        R"({"id":7,"planner":"alg2"})",  // a non-string id
+    };
+    std::vector<std::string> replies;
+    std::string jsonl_input;
+    for (std::size_t i = 0; i < payloads.size(); ++i) {
+        const bool lp = i % 2 == 1;
+        direct.send(payloads[i], lp);
+        routed.send(payloads[i], lp);
+        const auto want = direct.next();
+        const auto got = routed.next();
+        ASSERT_TRUE(want.has_value()) << payloads[i];
+        ASSERT_TRUE(got.has_value()) << payloads[i];
+        EXPECT_EQ(got->payload, want->payload) << payloads[i];
+        EXPECT_EQ(got->length_prefixed, lp) << payloads[i];
+        EXPECT_EQ(io::Json::parse(want->payload).at("status").as_string(),
+                  "bad_request")
+            << payloads[i];
+        replies.push_back(want->payload);
+        jsonl_input += payloads[i] + "\n";
+    }
+
+    service::JsonlConfig cfg;
+    cfg.service.workers = 1;
+    std::istringstream in(jsonl_input);
+    std::ostringstream out;
+    (void)service::serve_jsonl(in, out, cfg);
+    std::istringstream lines(out.str());
+    for (const std::string& reply : replies) {
+        std::string line;
+        ASSERT_TRUE(std::getline(lines, line));
+        EXPECT_EQ(line, reply);
+    }
 }
 
 TEST(NetRepository, ReloadReproducesByteIdenticalResponses) {
@@ -431,23 +594,9 @@ TEST(NetRouter, StaticModeResendsPendingExactlyOnce) {
         }
     });
 
-    std::atomic<bool> stop{false};
-    std::promise<int> port_promise;
-    auto port_future = port_promise.get_future();
-    RouterConfig rcfg;
-    rcfg.port = 0;
-    rcfg.endpoints = {shard_port};
-    rcfg.stop = &stop;
-    rcfg.poll_timeout_ms = 20;
-    rcfg.on_listening = [&](int p) { port_promise.set_value(p); };
-    Router::RunResult rres;
-    std::thread router([&] {
-        Router r(rcfg);
-        rres = r.run();
-    });
-    const int router_port = port_future.get();
+    RouterHandle router({shard_port});
 
-    Client client(router_port);
+    Client client(router.port);
     const auto inst = uavdc::testing::small_instance(8, 180.0, 58);
     client.send(plan_request("only", inst), false);
 
@@ -470,8 +619,7 @@ TEST(NetRouter, StaticModeResendsPendingExactlyOnce) {
         1.0);
     EXPECT_EQ(stats.at("pending").as_number(), 0.0);
 
-    stop.store(true);
-    router.join();
+    const auto rres = router.stop_and_join();
     shard_listener.close();
     shard.join();
     EXPECT_TRUE(rres.clean_shutdown);

@@ -400,6 +400,19 @@ int cmd_sensitivity(const util::Flags& flags) {
     return 0;
 }
 
+/// Every status counter of `stats`; together they sum to `completed`.
+std::string status_counts(const service::ServiceStats& stats) {
+    std::ostringstream os;
+    os << "ok=" << stats.ok << " overloaded=" << stats.rejected_overload
+       << " deadline=" << stats.deadline_exceeded
+       << " bad_request=" << stats.rejected_bad_request
+       << " shutdown=" << stats.rejected_shutdown
+       << " errors=" << stats.internal_errors
+       << " completed=" << stats.completed << "; cache hit rate "
+       << util::Table::fmt(100.0 * stats.cache_hit_rate(), 1) << "%";
+    return os.str();
+}
+
 int cmd_serve_tcp(const util::Flags& flags,
                   const service::PlanService::Config& svc_cfg) {
     auto& sig = net::ShutdownSignal::install();
@@ -432,10 +445,7 @@ int cmd_serve_tcp(const util::Flags& flags,
               << " requests over " << res.transport.connections_opened
               << " connections, " << res.transport.frames_malformed
               << " malformed frames, " << res.transport.shed_on_shutdown
-              << " shed at shutdown; ok=" << res.service.ok
-              << " cache hit rate "
-              << util::Table::fmt(100.0 * res.service.cache_hit_rate(), 1)
-              << "%";
+              << " shed at shutdown; " << status_counts(res.service);
     if (!flags.get_string("repo", "").empty()) {
         std::cerr << "; repo preloaded " << res.preloaded.instances
                   << " instances + " << res.preloaded.responses
@@ -498,14 +508,7 @@ int cmd_serve(const util::Flags& flags) {
         // Human-readable wrap-up on stderr so stdout stays pure JSONL.
         std::cerr << "serve: " << summary.requests << " requests, "
                   << summary.control << " control, " << summary.parse_errors
-                  << " malformed; ok=" << summary.stats.ok
-                  << " overloaded=" << summary.stats.rejected_overload
-                  << " deadline=" << summary.stats.deadline_exceeded
-                  << " errors=" << summary.stats.internal_errors
-                  << "; cache hit rate "
-                  << util::Table::fmt(100.0 * summary.stats.cache_hit_rate(),
-                                      1)
-                  << "%\n";
+                  << " malformed; " << status_counts(summary.stats) << "\n";
     }
     return summary.stats.internal_errors == 0 ? 0 : 2;
 }
